@@ -5,7 +5,8 @@ newline-terminated UTF-8, JSON keeps a stable field order, and identical
 configurations always produce identical bytes.
 
 Exit codes: 0 success, 2 usage or parse error, 3 brute-force cap exceeded,
-4 cross-check discrepancy under --strict.
+4 inconsistent result: a cross-check discrepancy under --strict, or a
+packed polynomial that fails its P_n(1) = n! check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from typing import Sequence
 
 from . import analysis, cluster_dp, permcore
-from .weightring import WeightPoly, term_text
+from .weightring import PackingOverflow, WeightPoly, term_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -229,6 +230,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except permcore.OracleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except PackingOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

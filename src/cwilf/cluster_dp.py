@@ -11,11 +11,17 @@ so everything reduces to C_n(t), the weight enumerator of clusters: chains
 of pairwise-overlapping occurrences covering 1..n.
 
 Clusters grow Markovianly: admissible overlaps depend only on the sorted
-values of the last atom.  The table DP here tracks exactly that state, with
-weights kept in the shifted variable u = t - 1 (each atom contributes one
-factor u); conversion to t happens only on output.  Weights may also be
-plain integers when u is specialized up front, which is how deep series are
-computed.
+values of the last atom.  The table DP here tracks exactly that state, each
+atom contributing one factor u = t - 1.
+
+The tables and the recurrence run on plain integers at one value of t.
+Deep avoidance series use t = 0.  Polynomials come from a value that packs
+them (see `weightring.Packing`): P_n(t) has nonnegative coefficients of at
+most n!, so it is decoded from t = 2^B with B = bitlen(N!)+1; C_n(u) has
+nonnegative coefficients of at most n!*2^(n-k+1) (a permutation with its
+marked subset of at most n-k+1 occurrences), so it is decoded from u = 2^B
+with B = bitlen(N!)+N-k+2.  The table functions still accept `WeightPoly`
+weights, which the tests use as a reference.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .permcore import (
     reduction,
     symmetry_class,
 )
-from .weightring import WeightPoly, compose_shift
+from .weightring import WeightPoly, compose_shift, packing_layout, unpack
 
 CTABLE_HEADER = "CWILF-CTABLE v1"
 
@@ -194,13 +200,12 @@ def cluster_tables(p: Sequence[int], N: int, u,
 def cluster_polys_shifted(p: Sequence[int], N: int,
                           aggregated: bool = True) -> list[WeightPoly]:
     """C_0..C_N as polynomials in the shifted variable u = t - 1."""
+    p = _check_pattern(p)
+    atoms = max(N - len(p) + 1, 0)
+    layout = packing_layout(1, math.factorial(N) << atoms, atoms)
     out = [WeightPoly.zero(1) for _ in range(N + 1)]
-    u = WeightPoly.variable(0, 1)
-    for n, table in cluster_tables(p, N, u, aggregated=aggregated):
-        total = WeightPoly.zero(1)
-        for w in table.values():
-            total = total + w
-        out[n] = total
+    for n, table in cluster_tables(p, N, layout.variable(0), aggregated=aggregated):
+        out[n] = unpack(sum(table.values()), layout)
     return out
 
 
@@ -243,18 +248,19 @@ def binomial(n: int, r: int) -> int:
 def assemble_counts(p: Sequence[int], N: int, t_value=None) -> list:
     """P_0..P_N from the cluster enumerators via the chopping recurrence.
 
-    With t_value=None the full polynomials are produced; otherwise t is
-    specialized first and everything stays in exact integers (or
-    Fractions), which is how long avoidance series are computed.
+    t is specialized first and everything stays in exact integers (or
+    Fractions), which is how long avoidance series are computed.  With
+    t_value=None the full polynomials are produced: the recurrence runs at
+    t = 2^B and each term is decoded, with P_n(1) = n! checked.
     """
     p = _check_pattern(p)
     k = len(p)
+    layout = None
     if t_value is None:
-        C = cluster_polys(p, N)
-        terms: list = [WeightPoly.const(1, 1)]
-    else:
-        C = cluster_values(p, N, t_value)
-        terms = [1]
+        layout = packing_layout(1, math.factorial(N), max(N - k + 1, 0))
+        t_value = layout.variable(0)
+    C = cluster_values(p, N, t_value)
+    terms = [1]
     for n in range(1, N + 1):
         val = n * terms[n - 1]
         row = binomial_row(n)
@@ -263,6 +269,8 @@ def assemble_counts(p: Sequence[int], N: int, t_value=None) -> list:
             if c:
                 val = val + row[r] * (terms[n - r] * c)
         terms.append(val)
+    if layout is not None:
+        return [unpack(v, layout, math.factorial(n)) for n, v in enumerate(terms)]
     return terms
 
 

@@ -17,18 +17,34 @@ one gap the new pattern, new q, and all but one coordinate of the new j are
 constant: it emits one interval event per (cell, gap) and materializes the
 children with a running-sum sweep, turning the O(cells*n) inner loop into
 O(cells*k).  The two must agree exactly on every input.
+
+The steps are generic over the weight ring: integers, or `WeightPoly` for
+the tests and the reference runs.  `enumerate_series` runs tracked queries on
+plain integers: it packs each factor once (`PackedAssignment`) and decodes
+each term at readout.  Every cell weight is a polynomial with nonnegative
+coefficients of at most n! (it counts permutations by occurrences), and a
+tracked pattern of length m occurs at most n-m+1 times, so B = bitlen(N!)+1
+bits per coefficient and stride D = N-m+2 decode every term exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import IO, Iterable, Sequence
 
 from .permcore import all_patterns, is_permutation, occurrences, reduction
-from .weightring import PatternAssignment, WeightPoly, as_weight_poly
+from .weightring import (
+    PatternAssignment,
+    WeightPoly,
+    as_weight_poly,
+    pack,
+    packing_layout,
+    unpack,
+)
 
 State = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -45,14 +61,51 @@ class StateTable:
     cells: dict[State, object]
 
     def total(self, assignment) -> WeightPoly:
-        """Sum of all cell weights, with any suffix factors applied."""
+        """Sum of all cell weights, with any suffix factors applied.
+
+        Under a `PackedAssignment` the sum is decoded into its polynomial.
+        """
         total = 0
         for (q, _j), w in self.cells.items():
             f = assignment.suffix_factor(q)
             if f == 0:
                 continue
             total = total + (w if f == 1 else w * f)
+        if isinstance(assignment, PackedAssignment):
+            return assignment.decode(total, self.n)
         return as_weight_poly(total, assignment.nvars)
+
+
+class PackedAssignment:
+    """An assignment's factors packed into plain integers, for sizes up to N.
+
+    Wraps a `PatternAssignment` or `LiftedAssignment` with tracked patterns.
+    When nothing is forbidden, every decoded term must have P_n(1) = n!,
+    which catches a layout too small for its coefficients.
+    """
+
+    def __init__(self, assignment, N: int):
+        k = assignment.k
+        shortest = min(len(p) for p in assignment.tracked)
+        self.layout = packing_layout(assignment.nvars, math.factorial(N),
+                                     max(N - shortest + 1, 0))
+        self.factors = {p: pack(assignment.factor(p), self.layout)
+                        for p in all_patterns(k)}
+        self.suffix_factors = {q: pack(assignment.suffix_factor(q), self.layout)
+                               for q in all_patterns(k - 1)}
+        forbidden = (assignment.avoid if isinstance(assignment, LiftedAssignment)
+                     else assignment.zero)
+        self.conserves_mass = not forbidden
+
+    def factor(self, pattern: tuple) -> int:
+        return self.factors[pattern]
+
+    def suffix_factor(self, suffix: tuple) -> int:
+        return self.suffix_factors[suffix]
+
+    def decode(self, value: int, n: int) -> WeightPoly:
+        """The polynomial packed in a size-n table sum."""
+        return unpack(value, self.layout, math.factorial(n) if self.conserves_mass else None)
 
 
 def state_of(pi: Sequence[int], k: int) -> State:
@@ -196,7 +249,8 @@ def enumerate_series(k: int, assignment, N: int,
 
     Sizes below k-1 carry no window at all, so their term is n!.  From size
     k-1 on, the table evolves one append at a time and each term is the sum
-    of the live cells.
+    of the live cells.  With tracked variables the table holds packed
+    integers, and each term is decoded from its sum.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -207,6 +261,8 @@ def enumerate_series(k: int, assignment, N: int,
         out.append(as_weight_poly(fact, assignment.nvars))
         fact *= n + 1
     if N >= k - 1:
+        if assignment.nvars:
+            assignment = PackedAssignment(assignment, N)
         table = init_table(k)
         out.append(table.total(assignment))
         while table.n < N:

@@ -5,6 +5,17 @@ variable per tracked window pattern.  Counting runs for long series produce
 coefficients far beyond 64 bits, so everything here stays in exact integer
 (or `fractions.Fraction`) arithmetic; no floats.
 
+The engines do not compute with :class:`WeightPoly`.  They evaluate every
+tracked variable at a power of two (Kronecker packing, see :class:`Packing`)
+and run on plain integers; `unpack` turns each result back into a
+polynomial.  Evaluation is a ring homomorphism, so negative intermediate
+values are harmless; only the decoded result needs its coefficients in
+[0, 2^B) and its exponents below the stride D.  The engines size B from
+n! (positive engine, and P_n(t) in the cluster engine) or n!*2^(n-k+1)
+(cluster enumerators in u = t - 1), and D from the most windows that fit.
+`WeightPoly` is the type at the edges: decoded results, display, and the
+brute-force oracles.
+
 A :class:`PatternAssignment` specializes the per-pattern variables: a pattern
 is either forbidden (factor 0), unconstrained (factor 1), or tracked by one
 of the polynomial variables.
@@ -13,6 +24,7 @@ of the polynomial variables.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
@@ -267,6 +279,73 @@ def compose_shift(poly: WeightPoly, offset: int) -> WeightPoly:
     for d in range(max(coeffs), -1, -1):
         result = result * x_plus + coeffs.get(d, 0)
     return result
+
+
+class PackingOverflow(ArithmeticError):
+    """A packed value does not decode: its layout was too small for it."""
+
+
+@dataclass(frozen=True)
+class Packing:
+    """Kronecker layout: variable i is evaluated at 2^(bits * stride^i).
+
+    A polynomial whose coefficients lie in [0, 2^bits) and whose exponents
+    are all below `stride` becomes one integer at that point, and the
+    base-2^bits digits of that integer are its coefficients.
+    """
+    nvars: int
+    bits: int
+    stride: int
+
+    def variable(self, index: int) -> int:
+        """The packed value of one variable."""
+        return 1 << (self.bits * self.stride ** index)
+
+
+def packing_layout(nvars: int, coeff_bound: int, degree_bound: int) -> Packing:
+    """The layout for coefficients in [0, coeff_bound], exponents <= degree_bound."""
+    return Packing(nvars, coeff_bound.bit_length() + 1, degree_bound + 1)
+
+
+def pack(weight, layout: Packing) -> int:
+    """A weight's value at the layout's point; plain integers pass through."""
+    if not isinstance(weight, WeightPoly):
+        return weight
+    total = 0
+    for exps, coeff in weight.items():
+        digit = sum(e * layout.stride ** i for i, e in enumerate(exps))
+        total += coeff << (layout.bits * digit)
+    return total
+
+
+def unpack(value: int, layout: Packing, mass: int | None = None) -> WeightPoly:
+    """The polynomial whose packed value is `value`, read off digit by digit.
+
+    With `mass`, the coefficients must sum to it.  A coefficient of 2^bits
+    or more carries into the next digit and lowers the digit sum by
+    2^bits - 1, so a layout too small for the true polynomial raises
+    :class:`PackingOverflow` here instead of decoding to a wrong one.
+    """
+    if value < 0:
+        raise PackingOverflow(f"negative packed value at {layout.bits} bits per coefficient")
+    mask = (1 << layout.bits) - 1
+    limit = layout.stride ** layout.nvars
+    terms = {}
+    digit = 0
+    while value:
+        coeff = value & mask
+        if coeff:
+            if digit >= limit:
+                raise PackingOverflow(f"exponent beyond the stride {layout.stride}")
+            terms[tuple(digit // layout.stride ** i % layout.stride
+                        for i in range(layout.nvars))] = coeff
+        value >>= layout.bits
+        digit += 1
+    if mass is not None and sum(terms.values()) != mass:
+        raise PackingOverflow(
+            f"packed coefficients sum to {sum(terms.values())}, expected {mass}: "
+            f"{layout.bits} bits per coefficient overflowed")
+    return WeightPoly(layout.nvars, terms)
 
 
 def _iter_patterns(k: int):

@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cwilf import analysis, cli
+from cwilf import analysis, cli, cluster_dp, positive_dp
+from cwilf.weightring import Packing
 
 
 def run_cli(args, env=None, monkeypatch=None):
@@ -140,6 +145,29 @@ def test_cap_env_and_flag(monkeypatch):
                           "--engine", "brute", "--cap", "8"],
                          env={"CWILF_CAP": "6"}, monkeypatch=monkeypatch)
     assert code == 0
+
+
+@pytest.mark.parametrize("engine", ["cluster", "positive"])
+def test_undersized_packing_exits_4(monkeypatch, engine):
+    def undersized(nvars, coeff_bound, degree_bound):
+        return Packing(nvars, coeff_bound.bit_length() // 2, degree_bound + 1)
+
+    monkeypatch.setattr(cluster_dp, "packing_layout", undersized)
+    monkeypatch.setattr(positive_dp, "packing_layout", undersized)
+    code, out, err = run_cli(["count", "--track", "123", "--n", "12",
+                              "--engine", engine])
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_python_dash_m_matches_main():
+    argv = ["count", "--avoid", "1342", "--n", "9"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "cwilf", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run_cli(argv)[1]
 
 
 def test_output_is_deterministic_across_threads_flag():

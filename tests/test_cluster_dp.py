@@ -178,6 +178,24 @@ def test_assemble_counts_specialized_matches_positive_engine():
         assert counts == [w.constant_value() for w in series]
 
 
+def test_tracked_engines_agree_past_the_oracle_cap():
+    # one member of each length-4 symmetry class
+    reps = sorted({min(permcore.symmetry_class(q)) for q in all_patterns(4)})
+    assert len(reps) == 8
+    for p in reps:
+        positive = positive_dp.enumerate_series(4, PatternAssignment.tracking([p]), 18)
+        assert positive == assemble_counts(p, 18), p
+
+
+def test_bivariate_tracking_marginals_match_the_cluster_engine():
+    # setting one variable to 1 leaves the other pattern's series; this
+    # reaches the second variable's packing stride, which no oracle does
+    both = positive_dp.enumerate_series(
+        3, PatternAssignment.tracking([(1, 2, 3), (3, 2, 1)]), 20)
+    for point, p in (([U, 1], (1, 2, 3)), ([1, U], (3, 2, 1))):
+        assert [w.evaluate(point) for w in both] == assemble_counts(p, 20), p
+
+
 def test_egf_identity():
     for p, N in [((1, 2, 3), 12), ((1, 3, 2), 12), ((1, 3, 2, 4), 10)]:
         P = assemble_counts(p, N)

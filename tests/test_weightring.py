@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from cwilf.weightring import PatternAssignment, WeightPoly, as_weight_poly, compose_shift
+from cwilf.weightring import (
+    Packing,
+    PackingOverflow,
+    PatternAssignment,
+    WeightPoly,
+    as_weight_poly,
+    compose_shift,
+    pack,
+    packing_layout,
+    unpack,
+)
 from helpers import random_poly
 
 T = WeightPoly.variable(0, 1)
@@ -118,6 +128,36 @@ def test_compose_shift():
         off = rng.randint(-3, 3)
         x = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         assert compose_shift(p, off).evaluate([x]) == p.evaluate([x + off])
+
+
+def test_pack_unpack_round_trip():
+    rng = random.Random(1101)
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        bound = rng.randint(1, 10 ** rng.randint(1, 30))
+        degree = rng.randint(0, 6)
+        layout = packing_layout(nvars, bound, degree)
+        terms = {tuple(rng.randint(0, degree) for _ in range(nvars)): rng.randint(0, bound)
+                 for _ in range(rng.randint(0, 8))}
+        poly = WeightPoly(nvars, terms)
+        mass = sum(c for _, c in poly.items())
+        packed = pack(poly, layout)
+        assert packed == poly.evaluate([layout.variable(i) for i in range(nvars)])
+        assert unpack(packed, layout, mass) == poly
+    assert pack(7, packing_layout(2, 7, 1)) == 7
+
+
+def test_unpack_detects_an_undersized_layout():
+    poly = (T + 1) ** 10  # largest coefficient 252, coefficients sum to 1024
+    ok = packing_layout(1, 252, 10)
+    assert unpack(pack(poly, ok), ok, 1024) == poly
+    small = Packing(1, 7, 11)  # 252 needs 8 bits
+    with pytest.raises(PackingOverflow):
+        unpack(pack(poly, small), small, 1024)
+    with pytest.raises(PackingOverflow):  # exponent 10 aliases past stride 10
+        unpack(pack(poly, ok), Packing(1, ok.bits, 10))
+    with pytest.raises(PackingOverflow):
+        unpack(-1, ok)
 
 
 def test_as_weight_poly():
