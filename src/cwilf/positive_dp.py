@@ -25,6 +25,9 @@ each term at readout.  Every cell weight is a polynomial with nonnegative
 coefficients of at most n! (it counts permutations by occurrences), and a
 tracked pattern of length m occurs at most n-m+1 times, so B = bitlen(N!)+1
 bits per coefficient and stride D = N-m+2 decode every term exactly.
+The packed width grows like D^v in the number v of tracked variables, the
+sparse polynomial only like D^v/v!, so above `PACKED_VARIABLES_MAX` tracked
+variables the table keeps `WeightPoly` weights instead.
 """
 
 from __future__ import annotations
@@ -52,6 +55,14 @@ PTABLE_HEADER = "CWILF-PTABLE v1"
 
 _event_position = itemgetter(0)
 
+# Most tracked variables packed into one integer.  A layout for exponents up
+# to E spans (E+1)^v digits, while the polynomial has at most C(E+v, v)
+# terms, about v! times fewer.  Up to three variables the packed table is
+# still the smaller and faster one (a digit costs B bits, a sparse term about
+# 200 bytes); from four on it takes several times the memory of the sparse
+# table for at most a 2.5x gain in time, and from six on it is slower too.
+PACKED_VARIABLES_MAX = 3
+
 
 @dataclass
 class StateTable:
@@ -60,42 +71,43 @@ class StateTable:
     k: int
     cells: dict[State, object]
 
-    def total(self, assignment) -> WeightPoly:
-        """Sum of all cell weights, with any suffix factors applied.
-
-        Under a `PackedAssignment` the sum is decoded into its polynomial.
-        """
+    def weight_sum(self, assignment):
+        """Sum of all cell weights, with any suffix factors applied."""
         total = 0
         for (q, _j), w in self.cells.items():
             f = assignment.suffix_factor(q)
             if f == 0:
                 continue
             total = total + (w if f == 1 else w * f)
-        if isinstance(assignment, PackedAssignment):
-            return assignment.decode(total, self.n)
-        return as_weight_poly(total, assignment.nvars)
+        return total
+
+    def total(self, assignment) -> WeightPoly:
+        """`weight_sum` as a polynomial."""
+        return as_weight_poly(self.weight_sum(assignment), assignment.nvars)
 
 
 class PackedAssignment:
     """An assignment's factors packed into plain integers, for sizes up to N.
 
-    Wraps a `PatternAssignment` or `LiftedAssignment` with tracked patterns.
-    When nothing is forbidden, every decoded term must have P_n(1) = n!,
-    which catches a layout too small for its coefficients.
+    Wraps an assignment with tracked patterns.  When every factor is 1 at
+    t = 1 (nothing is forbidden), every term must have P_n(1) = n!, which
+    catches too few bits per coefficient.
     """
 
     def __init__(self, assignment, N: int):
         k = assignment.k
+        self.nvars = assignment.nvars
         shortest = min(len(p) for p in assignment.tracked)
-        self.layout = packing_layout(assignment.nvars, math.factorial(N),
+        self.layout = packing_layout(self.nvars, math.factorial(N),
                                      max(N - shortest + 1, 0))
-        self.factors = {p: pack(assignment.factor(p), self.layout)
-                        for p in all_patterns(k)}
-        self.suffix_factors = {q: pack(assignment.suffix_factor(q), self.layout)
-                               for q in all_patterns(k - 1)}
-        forbidden = (assignment.avoid if isinstance(assignment, LiftedAssignment)
-                     else assignment.zero)
-        self.conserves_mass = not forbidden
+        factors = {p: assignment.factor(p) for p in all_patterns(k)}
+        suffix_factors = {q: assignment.suffix_factor(q) for q in all_patterns(k - 1)}
+        self.factors = {p: pack(f, self.layout) for p, f in factors.items()}
+        self.suffix_factors = {q: pack(f, self.layout) for q, f in suffix_factors.items()}
+        ones = [1] * self.nvars
+        self.conserves_mass = all(
+            as_weight_poly(f, self.nvars).evaluate(ones) == 1
+            for f in itertools.chain(factors.values(), suffix_factors.values()))
 
     def factor(self, pattern: tuple) -> int:
         return self.factors[pattern]
@@ -103,9 +115,10 @@ class PackedAssignment:
     def suffix_factor(self, suffix: tuple) -> int:
         return self.suffix_factors[suffix]
 
-    def decode(self, value: int, n: int) -> WeightPoly:
-        """The polynomial packed in a size-n table sum."""
-        return unpack(value, self.layout, math.factorial(n) if self.conserves_mass else None)
+    def total(self, table: StateTable) -> WeightPoly:
+        """The polynomial packed in a table's weight sum."""
+        mass = math.factorial(table.n) if self.conserves_mass else None
+        return unpack(table.weight_sum(self), self.layout, mass)
 
 
 def state_of(pi: Sequence[int], k: int) -> State:
@@ -250,7 +263,8 @@ def enumerate_series(k: int, assignment, N: int,
     Sizes below k-1 carry no window at all, so their term is n!.  From size
     k-1 on, the table evolves one append at a time and each term is the sum
     of the live cells.  With tracked variables the table holds packed
-    integers, and each term is decoded from its sum.
+    integers, and each term is decoded from its sum, unless more than
+    `PACKED_VARIABLES_MAX` variables would make them outgrow the polynomials.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -261,13 +275,16 @@ def enumerate_series(k: int, assignment, N: int,
         out.append(as_weight_poly(fact, assignment.nvars))
         fact *= n + 1
     if N >= k - 1:
-        if assignment.nvars:
+        if 0 < assignment.nvars <= PACKED_VARIABLES_MAX:
             assignment = PackedAssignment(assignment, N)
+            readout = assignment.total
+        else:
+            readout = lambda table: table.total(assignment)
         table = init_table(k)
-        out.append(table.total(assignment))
+        out.append(readout(table))
         while table.n < N:
             table = step(table, assignment)
-            out.append(table.total(assignment))
+            out.append(readout(table))
     return out
 
 

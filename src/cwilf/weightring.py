@@ -5,16 +5,17 @@ variable per tracked window pattern.  Counting runs for long series produce
 coefficients far beyond 64 bits, so everything here stays in exact integer
 (or `fractions.Fraction`) arithmetic; no floats.
 
-The engines do not compute with :class:`WeightPoly`.  They evaluate every
-tracked variable at a power of two (Kronecker packing, see :class:`Packing`)
-and run on plain integers; `unpack` turns each result back into a
-polynomial.  Evaluation is a ring homomorphism, so negative intermediate
-values are harmless; only the decoded result needs its coefficients in
-[0, 2^B) and its exponents below the stride D.  The engines size B from
-n! (positive engine, and P_n(t) in the cluster engine) or n!*2^(n-k+1)
-(cluster enumerators in u = t - 1), and D from the most windows that fit.
-`WeightPoly` is the type at the edges: decoded results, display, and the
-brute-force oracles.
+The engines evaluate every tracked variable at a power of two (Kronecker
+packing, see :class:`Packing`) and run on plain integers; `unpack` turns
+each result back into a polynomial.  Only the positive engine with more
+than three tracked variables computes with :class:`WeightPoly`, where the
+dense layout would outgrow the sparse polynomials.  Evaluation is a ring
+homomorphism, so negative intermediate values are harmless; only the
+decoded result needs its coefficients in [0, 2^B) and its exponents below
+the stride D.  The engines size B from n! (positive engine, and P_n(t) in
+the cluster engine) or n!*2^(n-k+1) (cluster enumerators in u = t - 1),
+and D from the most windows that fit.  Otherwise `WeightPoly` is the type
+at the edges: decoded results, display, and the brute-force oracles.
 
 A :class:`PatternAssignment` specializes the per-pattern variables: a pattern
 is either forbidden (factor 0), unconstrained (factor 1), or tracked by one
@@ -311,35 +312,35 @@ def pack(weight, layout: Packing) -> int:
     """A weight's value at the layout's point; plain integers pass through."""
     if not isinstance(weight, WeightPoly):
         return weight
-    total = 0
-    for exps, coeff in weight.items():
-        digit = sum(e * layout.stride ** i for i, e in enumerate(exps))
-        total += coeff << (layout.bits * digit)
-    return total
+    return weight.evaluate([layout.variable(i) for i in range(layout.nvars)])
 
 
 def unpack(value: int, layout: Packing, mass: int | None = None) -> WeightPoly:
     """The polynomial whose packed value is `value`, read off digit by digit.
 
-    With `mass`, the coefficients must sum to it.  A coefficient of 2^bits
-    or more carries into the next digit and lowers the digit sum by
-    2^bits - 1, so a layout too small for the true polynomial raises
-    :class:`PackingOverflow` here instead of decoding to a wrong one.
+    Two faults of the layout are caught and raise :class:`PackingOverflow`.
+    With `mass`, the coefficients must sum to it: a coefficient of 2^bits or
+    more carries into the next digit and lowers the digit sum by 2^bits - 1,
+    so too few bits cannot decode silently.  An exponent of the last
+    variable at or past the stride leaves the digit range.  A stride too
+    small for any other variable is not detectable here: its excess spills
+    into the next variable's exponent and keeps the digit sum.
     """
     if value < 0:
         raise PackingOverflow(f"negative packed value at {layout.bits} bits per coefficient")
-    mask = (1 << layout.bits) - 1
-    limit = layout.stride ** layout.nvars
+    # slicing the binary text is linear in the width; shifting `value` one
+    # digit at a time would copy the whole integer per digit
+    text = format(value, "b")
+    bits, stride = layout.bits, layout.stride
+    limit = stride ** layout.nvars
     terms = {}
     digit = 0
-    while value:
-        coeff = value & mask
+    for end in range(len(text) if value else 0, 0, -bits):
+        coeff = int(text[max(end - bits, 0):end], 2)
         if coeff:
             if digit >= limit:
-                raise PackingOverflow(f"exponent beyond the stride {layout.stride}")
-            terms[tuple(digit // layout.stride ** i % layout.stride
-                        for i in range(layout.nvars))] = coeff
-        value >>= layout.bits
+                raise PackingOverflow(f"exponent beyond the stride {stride}")
+            terms[tuple(digit // stride ** i % stride for i in range(layout.nvars))] = coeff
         digit += 1
     if mass is not None and sum(terms.values()) != mass:
         raise PackingOverflow(

@@ -172,6 +172,22 @@ def test_oracle_equivalence_two_zeros():
                 assert series[n] == brute_weight_enum(n, k, a), (k, z1, z2, n)
 
 
+def test_packed_and_sparse_tables_agree(monkeypatch):
+    # past PACKED_VARIABLES_MAX tracked variables the table stays sparse
+    many = PatternAssignment.tracking(all_patterns(3)[:positive_dp.PACKED_VARIABLES_MAX + 1])
+
+    def refuse(*args):
+        raise AssertionError("packed a table that should stay sparse")
+
+    with monkeypatch.context() as m:
+        m.setattr(positive_dp, "PackedAssignment", refuse)
+        sparse = enumerate_series(3, many, 8)
+    monkeypatch.setattr(positive_dp, "PACKED_VARIABLES_MAX", many.nvars)
+    assert enumerate_series(3, many, 8) == sparse
+    for n in range(9):
+        assert sparse[n] == brute_weight_enum(n, 3, many), n
+
+
 def test_specialization_commutes_with_enumeration():
     for p in [(1, 2, 3), (2, 1, 3), (1, 3, 2, 4)]:
         k = len(p)
