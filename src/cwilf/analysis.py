@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import cluster_dp, permcore, positive_dp
-from .weightring import PatternAssignment, WeightPoly, term_text
+from .weightring import InconsistentResult, PatternAssignment, WeightPoly, term_text
 
 # Series depth mirroring what the engines are expected to sustain per
 # pattern length; single patterns run on the cluster engine at these
@@ -87,7 +87,9 @@ def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
 
     auto routes single patterns to the cluster engine (on the cheapest
     symmetry-class member, with t specialized to 0 up front) and pattern
-    sets to the positive engine; brute is only used when asked.
+    sets to the positive engine; brute is only used when asked.  The terms
+    below and at the shortest pattern length are checked against their
+    closed form before returning (`InconsistentResult` on a mismatch).
     """
     patterns = tuple(tuple(p) for p in patterns)
     pattern_text = ";".join(permcore.format_pattern(p) for p in patterns)
@@ -105,13 +107,13 @@ def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
             raise ValueError("cluster engine handles a single pattern")
         rep = cluster_dp.choose_representative(patterns[0])
         terms = cluster_dp.assemble_counts(rep, N, t_value=0)
-        return SeriesReport(pattern_text, permcore.format_pattern(rep), members,
-                            "cluster", terms)
-    if engine == "positive":
+        report = SeriesReport(pattern_text, permcore.format_pattern(rep), members,
+                              "cluster", terms)
+    elif engine == "positive":
         series = positive_dp.enumerate_for_patterns(avoid=patterns, N=N)
-        return SeriesReport(pattern_text, pattern_text, members,
-                            "positive", _int_terms(series))
-    if engine == "brute":
+        report = SeriesReport(pattern_text, pattern_text, members,
+                              "positive", _int_terms(series))
+    elif engine == "brute":
         _check_brute_depth(N, cap)
         lengths = {len(p) for p in patterns}
         terms = []
@@ -123,8 +125,22 @@ def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
         else:
             for n in range(N + 1):
                 terms.append(permcore.brute_avoider_count(patterns, n, cap=cap))
-        return SeriesReport(pattern_text, pattern_text, members, "brute", terms)
-    raise ValueError(f"unknown engine {engine!r}")
+        report = SeriesReport(pattern_text, pattern_text, members, "brute", terms)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    _check_initial_terms(patterns, report.terms)
+    return report
+
+
+def _check_initial_terms(patterns: Sequence[tuple[int, ...]], terms: Sequence[int]) -> None:
+    """a_n = n! below the shortest pattern length k; a_k = k! - |length-k patterns|."""
+    k = min(map(len, patterns))
+    fact = 1
+    for n, a in enumerate(terms[:k + 1]):
+        fact *= n or 1
+        expected = fact - (n == k) * len({p for p in patterns if len(p) == k})
+        if a != expected:
+            raise InconsistentResult(f"avoidance count a_{n} = {a}, expected {expected}")
 
 
 def tracked_series(track: Sequence[Sequence[int]], avoid: Sequence[Sequence[int]] = (),
@@ -251,6 +267,7 @@ def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:
         seen.update(members)
         rep = cluster_dp.choose_representative(p)
         terms = cluster_dp.assemble_counts(rep, N, t_value=0)
+        _check_initial_terms((rep,), terms)
         growth = growth_estimate(terms).estimate if N >= 10 else None
         rows.append(SeriesReport(
             pattern=permcore.format_pattern(members[0]),

@@ -5,8 +5,9 @@ newline-terminated UTF-8, JSON keeps a stable field order, and identical
 configurations always produce identical bytes.
 
 Exit codes: 0 success, 2 usage or parse error, 3 brute-force cap exceeded,
-4 inconsistent result: a cross-check discrepancy under --strict, or a
-packed polynomial that fails its P_n(1) = n! check.
+4 inconsistent result: a cross-check discrepancy under --strict, a packed
+polynomial that fails its P_n(1) = n! check, or an avoidance series whose
+first terms are not n! (n < k) and k! - |set| (n = k).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import analysis, cluster_dp, permcore
-from .weightring import PackingOverflow, WeightPoly, term_text
+from .weightring import InconsistentResult, WeightPoly, term_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -230,7 +231,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except permcore.OracleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except PackingOverflow as exc:
+    except InconsistentResult as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except ValueError as exc:

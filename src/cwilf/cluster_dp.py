@@ -10,9 +10,16 @@ suffix chain of marks (the ending cluster) gives the recurrence
 so everything reduces to C_n(t), the weight enumerator of clusters: chains
 of pairwise-overlapping occurrences covering 1..n.
 
-Clusters grow Markovianly: admissible overlaps depend only on the sorted
-values of the last atom.  The table DP here tracks exactly that state, each
-atom contributing one factor u = t - 1.
+Clusters grow Markovianly.  A new atom shares m of its entries with the
+last one, m in the pattern's overlap set, so with M the largest overlap
+everything later depends only on the values of the last atom's last M
+entries (the ranks p[k-M:]).  The table DP keys clusters by those M values,
+each atom contributing one factor u = t - 1.  An extension marginalizes the
+source table onto the m shared values and places the new key values; the
+new atom's other values are not tracked but counted: between consecutive
+specified (rank, value) points (r, v) and (r', v'), with sentinels (0, 0)
+and (k+1, n+1), the unspecified ranks fit in C(v'-v-1, r'-r-1) ways.  For
+patterns whose only overlap is 1 the key is one value, at most n states.
 
 The tables and the recurrence run on plain integers at one value of t.
 Deep avoidance series use t = 0.  Polynomials come from a value that packs
@@ -30,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .permcore import (
     format_pattern,
@@ -40,8 +47,6 @@ from .permcore import (
     symmetry_class,
 )
 from .weightring import WeightPoly, compose_shift, packing_layout, unpack
-
-CTABLE_HEADER = "CWILF-CTABLE v1"
 
 
 def _check_pattern(p: Sequence[int]) -> tuple[int, ...]:
@@ -130,7 +135,8 @@ def extend_cluster(state: Sequence[int], n: int, m: int,
 
     The new atom shares its first m positions with the old atom's last m;
     its remaining values may sit anywhere that keeps the new window an
-    occurrence.  Each returned tuple is one cluster extension.
+    occurrence.  Each returned tuple is one cluster extension; on the full
+    sorted state, this is the reference for `cluster_tables`.
     """
     p = _check_pattern(p)
     k = len(p)
@@ -146,72 +152,142 @@ def extend_cluster(state: Sequence[int], n: int, m: int,
     return list(_completions(fixed_vals, k, target_n))
 
 
-def cluster_tables(p: Sequence[int], N: int, u,
-                   aggregated: bool = True) -> Iterator[tuple[int, dict]]:
-    """Yield (n, table) for n = k..N; tables map last-atom values to weights.
+@lru_cache(maxsize=None)
+def _key_plan(p: tuple[int, ...], m: int):
+    """How an overlap-m extension places the new atom's key.
 
-    Pull-style: each length collects from its up-to-(k-1) predecessor
-    lengths, one per admissible overlap, and older tables are discarded.
-    The aggregated variant first marginalizes each source table over the
-    coordinates the extension does not constrain, so shared completions are
-    enumerated once instead of once per source state.
+    The specified ranks of the new atom are its m shared ranks, the key
+    ranks p[k-M:] and the sentinel k+1, which is shared with value n+1.
+    They are walked upwards or, mirrored (rank r read as k+1-r, value v as
+    n+1-v), downwards: whichever meets fewer fresh key values before the
+    first shared one, as those multiply the partial placements without
+    merging any.  Returns (shared, steps, order, mirrored): shared lists
+    (i, bump) per shared rank in walking order, its value being the old
+    key's i-th entry plus the count of fresh values below it; steps holds
+    (gap, is_shared, in_key, dist) per specified rank, gap unspecified
+    ranks lying between it and the previous one and a fresh value staying
+    dist short of the next shared one; order[i] is the i-th key entry's
+    place in walking order.
+    """
+    k, M = len(p), max(overlap_set(p))
+    fixed, _free = _extension_slots(p, m)
+    bumps = {slot: (M - m + l, b) for l, (slot, _s, b) in enumerate(fixed)}
+    key_ranks = p[k - M:]
+    plans = []
+    for mirrored in (False, True):
+        walked = sorted((k + 1 - r if mirrored else r, r) for r in {*bumps, *key_ranks})
+        walked.append((k + 1, None))
+        stops = [w for w, r in walked if r is None or r in bumps]
+        steps = tuple((w - v - 1, r is None or r in bumps, r in key_ranks,
+                       next((s for s in stops if s > w), w) - w)
+                      for (v, _), (w, r) in zip([(0, None)] + walked, walked))
+        keys = [r for _w, r in walked if r in key_ranks]
+        plans.append((sum(w < stops[0] for w, _r in walked),
+                       (tuple(bumps[r] for _w, r in walked if r in bumps), steps,
+                        tuple(keys.index(r) for r in key_ranks), mirrored)))
+    return min(plans, key=lambda plan: plan[0])[1]
+
+
+def _spread(src: dict, plan, n: int) -> dict:
+    """Key weights at length n reached from table `src` through one
+    overlap (`_key_plan`), before the new atom's factor u.
+
+    Each placement counts the ways to fit the unspecified ranks: the
+    product of C(v' - v - 1, r' - r - 1) over consecutive specified (rank,
+    value) points, from the sentinel (0, 0) up.  The walk keeps partial
+    placements (key values so far, last value, shared values ahead); the
+    first ones merge src onto the shared values.  At a fresh key value v,
+    summing E(w) C(v - w - 1, gap) over the last value w is a (gap+1)-fold
+    running sum: one pass over v per group.
+    """
+    shared, steps, order, mirrored = plan
+    origin, sign = (n + 1, -1) if mirrored else (0, 1)
+    layer: dict = {}
+    for key, w in src.items():
+        state = ((), 0, tuple(origin + sign * (key[i] + b) for i, b in shared) + (n + 1,))
+        prev = layer.get(state)
+        layer[state] = w if prev is None else prev + w
+    for gap, is_shared, in_key, dist in steps:
+        nxt: dict = {}
+        if is_shared:
+            # always room below a shared value: fresh values stay dist short
+            # of it, and bumps count the fresh ranks between shared ones
+            for (vals, last, ahead), w in layer.items():
+                v = ahead[0]
+                state = (vals + (v,) if in_key else vals, v, ahead[1:])
+                add = w * math.comb(v - last - 1, gap) if gap else w
+                prev = nxt.get(state)
+                nxt[state] = add if prev is None else prev + add
+        else:
+            groups: dict = {}
+            for (vals, last, ahead), w in layer.items():
+                groups.setdefault((vals, ahead), []).append((last, w))
+            for (vals, ahead), entries in groups.items():
+                entries.sort()
+                sums = [0] * (gap + 1)  # sums[j] = sum over w < v of E(w) C(v-w-1, j)
+                i, start = 0, entries[0][0]
+                for v in range(start, ahead[0] - dist + 1):
+                    if v > start + gap:
+                        nxt[(vals + (v,), v, ahead)] = sums[gap]
+                    for j in range(gap, 0, -1):
+                        sums[j] = sums[j] + sums[j - 1]
+                    if i < len(entries) and entries[i][0] == v:
+                        sums[0] = sums[0] + entries[i][1]
+                        i += 1
+        layer = nxt
+    return {tuple(origin + sign * vals[i] for i in order): w for (vals, _, _), w in layer.items()}
+
+
+def cluster_tables(p: Sequence[int], N: int, u) -> Iterator[tuple[int, dict]]:
+    """Yield (n, table) for n = k..N; tables map key values to weights.
+
+    The key is the values of the last atom's last M = max(overlap_set(p))
+    entries, in position order (ranks p[k-M:]): every later overlap shares
+    only those entries.  Each table entry sums u^atoms over the clusters of
+    length n with that key.  Pull-style: each length collects from its
+    up-to-(k-1) predecessor lengths, one per admissible overlap m, and
+    older tables are discarded.  A source table is first marginalized onto
+    its last m key entries, which the new atom shares; these then spread
+    over the new key's fresh values, weighted by the binomial count of the
+    ranks left unspecified (`_spread`).
     """
     p = _check_pattern(p)
     k = len(p)
     overlaps = overlap_set(p)
+    M = overlaps[-1]
     recent: dict[int, dict] = {}
     for n in range(k, N + 1):
         if n == k:
-            table: dict = {tuple(range(1, k + 1)): u}
+            table: dict = {p[k - M:]: u}
         else:
             table = {}
             for m in overlaps:
-                src_n = n - (k - m)
-                src = recent.get(src_n)
+                src = recent.get(n - (k - m))
                 if not src:
                     continue
-                fixed, _free = _extension_slots(p, m)
-                if aggregated:
-                    sources = tuple(s for _slot, s, _b in fixed)
-                    marg: dict = {}
-                    for state, w in src.items():
-                        key = tuple(state[s - 1] for s in sources)
-                        prev = marg.get(key)
-                        marg[key] = w if prev is None else prev + w
-                    pulls = (
-                        ({slot: key[i] + bump for i, (slot, _s, bump) in enumerate(fixed)}, w)
-                        for key, w in marg.items()
-                    )
-                else:
-                    pulls = (
-                        ({slot: state[s - 1] + bump for slot, s, bump in fixed}, w)
-                        for state, w in src.items()
-                    )
-                for fixed_vals, w in pulls:
-                    contrib = w * u
-                    for new_state in _completions(fixed_vals, k, n):
-                        prev = table.get(new_state)
-                        table[new_state] = contrib if prev is None else prev + contrib
+                for key, w in _spread(src, _key_plan(p, m), n).items():
+                    add = w * u
+                    prev = table.get(key)
+                    table[key] = add if prev is None else prev + add
         recent[n] = table
         recent.pop(n - k + 1, None)
         yield n, table
 
 
-def cluster_polys_shifted(p: Sequence[int], N: int,
-                          aggregated: bool = True) -> list[WeightPoly]:
+def cluster_polys_shifted(p: Sequence[int], N: int) -> list[WeightPoly]:
     """C_0..C_N as polynomials in the shifted variable u = t - 1."""
     p = _check_pattern(p)
     atoms = max(N - len(p) + 1, 0)
     layout = packing_layout(1, math.factorial(N) << atoms, atoms)
     out = [WeightPoly.zero(1) for _ in range(N + 1)]
-    for n, table in cluster_tables(p, N, layout.variable(0), aggregated=aggregated):
+    for n, table in cluster_tables(p, N, layout.variable(0)):
         out[n] = unpack(sum(table.values()), layout)
     return out
 
 
-def cluster_polys(p: Sequence[int], N: int, aggregated: bool = True) -> list[WeightPoly]:
+def cluster_polys(p: Sequence[int], N: int) -> list[WeightPoly]:
     """C_0(t)..C_N(t): cluster weight enumerators in the plain t basis."""
-    return [compose_shift(c, -1) for c in cluster_polys_shifted(p, N, aggregated=aggregated)]
+    return [compose_shift(c, -1) for c in cluster_polys_shifted(p, N)]
 
 
 def cluster_values(p: Sequence[int], N: int, t_value) -> list:
@@ -456,34 +532,3 @@ def split_ending_cluster(pi: Sequence[int], starts: Sequence[int],
     ending = starts[i:]
     remainder = pi[:ending[0] - 1]
     return remainder, starts[:i], ending
-
-
-# -- checkpointing ---------------------------------------------------------------
-
-def dump_cluster_table(table: dict, p: Sequence[int], n: int, fh: IO[str]) -> None:
-    """Write one length's cluster table; states in sorted value order."""
-    from .positive_dp import _encode_weight
-    fh.write(f"{CTABLE_HEADER}\n")
-    fh.write(f"{format_pattern(p)} {n}\n")
-    for state, w in sorted(table.items()):
-        state_text = ",".join(str(v) for v in state)
-        fh.write(f"{state_text}|{_encode_weight(w)}\n")
-
-
-def load_cluster_table(fh: IO[str]):
-    from .permcore import parse_pattern
-    from .positive_dp import _decode_weight
-    header = fh.readline().rstrip("\n")
-    if header != CTABLE_HEADER:
-        raise ValueError(f"bad table header {header!r}")
-    pat_text, n_text = fh.readline().split()
-    p = parse_pattern(pat_text)
-    table = {}
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        state_text, w_text = line.split("|")
-        state = tuple(int(v) for v in state_text.split(","))
-        table[state] = _decode_weight(w_text)
-    return p, int(n_text), table

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .permcore import all_patterns, is_permutation, occurrences, reduction
 from .weightring import (
@@ -50,8 +50,6 @@ from .weightring import (
 )
 
 State = tuple[tuple[int, ...], tuple[int, ...]]
-
-PTABLE_HEADER = "CWILF-PTABLE v1"
 
 _event_position = itemgetter(0)
 
@@ -404,58 +402,3 @@ def enumerate_for_patterns(avoid: Iterable = (), track: Sequence = (),
         for n in range(min(N, assignment.k - 2) + 1):
             series[n] = _direct_mixed_enum(avoid_t, track_t, n, assignment.nvars)
     return series
-
-
-# -- checkpointing -------------------------------------------------------------
-
-def _encode_weight(w) -> str:
-    if isinstance(w, WeightPoly):
-        terms = ";".join(
-            f"{','.join(str(e) for e in exps)}:{c}" for exps, c in w.sorted_terms()
-        )
-        return f"poly {w.nvars} {terms}"
-    return f"int {w}"
-
-
-def _decode_weight(text: str):
-    kind, _, rest = text.partition(" ")
-    if kind == "int":
-        return int(rest)
-    if kind == "poly":
-        nvars_text, _, body = rest.partition(" ")
-        nvars = int(nvars_text)
-        terms = {}
-        if body:
-            for chunk in body.split(";"):
-                exps_text, _, coeff = chunk.partition(":")
-                exps = tuple(int(e) for e in exps_text.split(",") if e != "")
-                terms[exps] = int(coeff)
-        return WeightPoly(nvars, terms)
-    raise ValueError(f"unknown weight encoding {text!r}")
-
-
-def dump_table(table: StateTable, fh: IO[str]) -> None:
-    """Write a checkpoint; states in canonical (q, then j) order."""
-    fh.write(f"{PTABLE_HEADER}\n")
-    fh.write(f"{table.k} {table.n}\n")
-    for (q, j), w in sorted(table.cells.items()):
-        q_text = ",".join(str(v) for v in q)
-        j_text = ",".join(str(v) for v in j)
-        fh.write(f"{q_text}|{j_text}|{_encode_weight(w)}\n")
-
-
-def load_table(fh: IO[str]) -> StateTable:
-    header = fh.readline().rstrip("\n")
-    if header != PTABLE_HEADER:
-        raise ValueError(f"bad table header {header!r}")
-    k, n = (int(x) for x in fh.readline().split())
-    cells: dict[State, object] = {}
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        q_text, j_text, w_text = line.split("|")
-        q = tuple(int(v) for v in q_text.split(","))
-        j = tuple(int(v) for v in j_text.split(","))
-        cells[(q, j)] = _decode_weight(w_text)
-    return StateTable(n, k, cells)

@@ -97,11 +97,6 @@ class WeightPoly:
             raise ValueError("polynomial is not constant")
         return next(iter(self._terms.values()))
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -214,9 +209,6 @@ class WeightPoly:
             total += term
         return total
 
-    def map_coefficients(self, fn) -> "WeightPoly":
-        return WeightPoly(self.nvars, {e: fn(c) for e, c in self._terms.items()})
-
     def canonical_text(self, names: Sequence[str] | None = None) -> str:
         """Canonical text form, e.g. ``t^2 - 2*t + 1``.
 
@@ -282,7 +274,11 @@ def compose_shift(poly: WeightPoly, offset: int) -> WeightPoly:
     return result
 
 
-class PackingOverflow(ArithmeticError):
+class InconsistentResult(ArithmeticError):
+    """A computed result failed an exact check it must satisfy."""
+
+
+class PackingOverflow(InconsistentResult):
     """A packed value does not decode: its layout was too small for it."""
 
 
@@ -421,9 +417,6 @@ class PatternAssignment:
         """All (pattern, factor) pairs over the length-k patterns."""
         for p in _iter_patterns(self.k):
             yield p, self.factor(p)
-
-    def evaluation_point(self, value) -> list:
-        return [value] * self.nvars
 
 
 def term_text(weight) -> str:

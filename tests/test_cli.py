@@ -161,6 +161,22 @@ def test_undersized_packing_exits_4(monkeypatch, engine):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_corrupt_avoidance_term_exits_4(monkeypatch):
+    # one wrong cluster number changes a_k, which must equal k! - 1
+    honest = cluster_dp.cluster_values
+
+    def corrupted(p, N, t_value):
+        values = honest(p, N, t_value)
+        values[len(p)] += 1
+        return values
+
+    monkeypatch.setattr(cluster_dp, "cluster_values", corrupted)
+    code, out, err = run_cli(["count", "--avoid", "132", "--n", "8"])
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_python_dash_m_matches_main():
     argv = ["count", "--avoid", "1342", "--n", "9"]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

@@ -1,8 +1,9 @@
-import io
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwilf import cluster_dp, permcore, positive_dp
 from cwilf.cluster_dp import (
@@ -15,10 +16,8 @@ from cwilf.cluster_dp import (
     cluster_polys_shifted,
     cluster_tables,
     cluster_values,
-    dump_cluster_table,
     egf_identity_check,
     extend_cluster,
-    load_cluster_table,
     overlap_set,
     split_ending_cluster,
     verify_321_equation,
@@ -105,11 +104,81 @@ def test_cluster_polys_basics():
         assert series[len(p)] == t_minus_1
 
 
+def _full_state_tables(p, N, u):
+    """Reference tables keyed by all k sorted values of the last atom,
+    grown one `extend_cluster` extension at a time."""
+    k = len(p)
+    tables = {k: {tuple(range(1, k + 1)): u}}
+    for n in range(k + 1, N + 1):
+        table = {}
+        for m in overlap_set(p):
+            src_n = n - (k - m)
+            for state, w in tables.get(src_n, {}).items():
+                for new in extend_cluster(state, src_n, m, p):
+                    prev = table.get(new)
+                    table[new] = w * u if prev is None else prev + w * u
+        tables[n] = table
+    return tables
+
+
+def _project(table, p):
+    """Sum a full-state table onto the values at ranks p[k-M:]."""
+    k, M = len(p), max(overlap_set(p))
+    out = {}
+    for state, w in table.items():
+        key = tuple(state[r - 1] for r in p[k - M:])
+        prev = out.get(key)
+        out[key] = w if prev is None else prev + w
+    return out
+
+
+CLASS_REPS = sorted({choose_representative(q) for k in (3, 4, 5) for q in all_patterns(k)})
+
+
 def test_aggregated_and_direct_tables_agree():
-    for p in [(1, 2, 3), (1, 3, 2), (1, 3, 2, 4), (1, 3, 4, 2), (2, 1)]:
-        direct = dict(cluster_tables(p, 10, U, aggregated=False))
-        fast = dict(cluster_tables(p, 10, U, aggregated=True))
-        assert direct == fast, p
+    # the engine's key tables are the full-state tables aggregated onto the
+    # key; 2413 walks its two-entry overlap downwards, with a two-value key
+    for p in [(1, 2, 3), (1, 3, 2), (1, 3, 2, 4), (1, 3, 4, 2), (2, 1), (2, 4, 1, 3)]:
+        direct = _full_state_tables(p, 10, U)
+        fast = dict(cluster_tables(p, 10, U))
+        assert fast == {n: _project(t, p) for n, t in direct.items()}, p
+
+
+def test_table_sizes_are_bounded_by_the_key():
+    assert len(CLASS_REPS) == 42
+    for p in CLASS_REPS:
+        M = max(overlap_set(p))
+        for n, table in cluster_tables(p, 16, 1):
+            assert len(table) <= math.comb(n, M), (p, n)
+            if overlap_set(p) == (1,):
+                assert len(table) <= n, (p, n)
+
+
+def test_minimal_overlapping_clusters_depend_on_first_and_last_entries():
+    # Duane-Remmel / Bona: with overlap set {1}, C_n(t) depends only on
+    # the length and on p's first and last entries
+    groups = {}
+    for k in (4, 5):
+        for p in all_patterns(k):
+            if overlap_set(p) == (1,):
+                groups.setdefault((k, p[0], p[-1]), []).append(p)
+    assert sum(len(g) - 1 for g in groups.values()) > 0
+    for members in groups.values():
+        first = cluster_polys(members[0], 14)
+        for q in members[1:]:
+            assert cluster_polys(q, 14) == first, (members[0], q)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 6).flatmap(lambda k: st.permutations(range(1, k + 1))),
+       st.integers(-3, 3))
+def test_cluster_values_match_the_full_state_reference(p, t0):
+    p = tuple(p)
+    N = len(p) + 6
+    expected = [0] * (N + 1)
+    for n, table in _full_state_tables(p, N, t0 - 1).items():
+        expected[n] = sum(table.values())
+    assert cluster_values(p, N, t0) == expected
 
 
 def test_cluster_values_specialize_the_polynomials():
@@ -273,19 +342,3 @@ def test_split_ending_cluster_errors():
         split_ending_cluster((1, 2, 3, 4), (1,), (1, 2, 3))  # window not at the end
     with pytest.raises(ValueError):
         split_ending_cluster((1, 3, 2, 4), (2,), (1, 2, 3))  # not an occurrence
-
-
-def test_cluster_table_serialization():
-    tables = dict(cluster_tables((1, 3, 2), 9, U))
-    buf = io.StringIO()
-    dump_cluster_table(tables[9], (1, 3, 2), 9, buf)
-    text = buf.getvalue()
-    assert text.startswith("CWILF-CTABLE v1\n")
-    p, n, loaded = load_cluster_table(io.StringIO(text))
-    assert p == (1, 3, 2) and n == 9
-    assert loaded == tables[9]
-    lines = text.splitlines()[2:]
-    keys = [line.split("|")[0] for line in lines]
-    assert keys == sorted(keys)
-    with pytest.raises(ValueError):
-        load_cluster_table(io.StringIO("NOPE\n"))

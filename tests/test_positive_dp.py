@@ -1,4 +1,3 @@
-import io
 import itertools
 import random
 
@@ -10,11 +9,9 @@ from cwilf.positive_dp import (
     StateTable,
     append_transition,
     build_assignment,
-    dump_table,
     enumerate_for_patterns,
     enumerate_series,
     init_table,
-    load_table,
     state_of,
     step_append,
     step_append_aggregated,
@@ -247,31 +244,3 @@ def test_build_assignment_dispatch():
         build_assignment()
     with pytest.raises(ValueError):
         build_assignment(avoid=[(1, 2)], track=[(1, 2)])
-
-
-def test_table_serialization_round_trip():
-    a = PatternAssignment.tracking([(1, 2, 3)])
-    tbl = init_table(3)
-    for _ in range(4):
-        tbl = step_append_aggregated(tbl, a)
-    buf = io.StringIO()
-    dump_table(tbl, buf)
-    text = buf.getvalue()
-    assert text.startswith("CWILF-PTABLE v1\n")
-    loaded = load_table(io.StringIO(text))
-    assert (loaded.n, loaded.k) == (tbl.n, tbl.k)
-    assert loaded.cells == tbl.cells
-    with pytest.raises(ValueError):
-        load_table(io.StringIO("WRONG v0\n"))
-
-
-def test_serialization_is_canonically_ordered():
-    a = PatternAssignment.avoiding([(1, 2, 3)])
-    tbl = init_table(3)
-    for _ in range(3):
-        tbl = step_append_aggregated(tbl, a)
-    buf = io.StringIO()
-    dump_table(tbl, buf)
-    lines = buf.getvalue().splitlines()[2:]
-    keys = [line.split("|")[:2] for line in lines]
-    assert keys == sorted(keys)
