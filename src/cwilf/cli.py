@@ -7,7 +7,8 @@ configurations always produce identical bytes.
 Exit codes: 0 success, 2 usage or parse error, 3 brute-force cap exceeded,
 4 inconsistent result: a cross-check discrepancy under --strict, a packed
 polynomial that fails its P_n(1) = n! check, or an avoidance series whose
-first terms are not n! (n < k) and k! - |set| (n = k).
+first terms are not n! (n < k) and k! - |set| (n = k), 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INCONSISTENT = 4
+EXIT_INTERRUPTED = 130
 
 
 def _add_common(sub, engine=False, strict=False):
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; engines are sequential")
     sub.add_argument("--cap", type=int, default=None,
                      help="brute-force size cap (default 10, or $CWILF_CAP)")
     if engine:
@@ -224,8 +224,6 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         return _HANDLERS[args.command](args)
     except permcore.OracleLimitError as exc:
@@ -237,6 +235,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

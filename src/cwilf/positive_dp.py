@@ -12,11 +12,13 @@ of which gap between consecutive j-values the new rank lands in; the window's
 factor (0, 1, or a tracked variable) multiplies the weight.
 
 Two step implementations are provided.  `step_append` loops over every child
-rank i and is the reference.  `step_append_aggregated` exploits that within
-one gap the new pattern, new q, and all but one coordinate of the new j are
-constant: it emits one interval event per (cell, gap) and materializes the
-children with a running-sum sweep, turning the O(cells*n) inner loop into
-O(cells*k).  The two must agree exactly on every input.
+rank i and is the reference.  `step_append_aggregated` pulls each child from
+the parents that keep the same retained order and values: every such parent
+adds its factor times its weight, and the factor changes only with whether
+the dropped value lies below the new entry.  Per group of parents, one fixed
+sum covers the other gaps and a running sum over the dropped values covers
+the gap itself, so a level costs one pass over the cells and one write per
+child.  The two must agree exactly on every input.
 
 The steps are generic over the weight ring: integers, or `WeightPoly` for
 the tests and the reference runs.  `enumerate_series` runs tracked queries on
@@ -34,9 +36,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .permcore import all_patterns, is_permutation, occurrences, reduction
@@ -50,8 +51,6 @@ from .weightring import (
 )
 
 State = tuple[tuple[int, ...], tuple[int, ...]]
-
-_event_position = itemgetter(0)
 
 # Most tracked variables packed into one integer.  A layout for exponents up
 # to E spans (E+1)^v digits, while the polynomial has at most C(E+v, v)
@@ -159,31 +158,6 @@ def append_transition(state: State, n: int, i: int, assignment) -> tuple[State, 
     return new_state, assignment.factor(gained)
 
 
-@lru_cache(maxsize=None)
-def _transitions(k: int):
-    """Per (q, gap): gained pattern, new q, and the new-j template layout.
-
-    Gap g means the appended rank lands strictly above the g-th smallest
-    retained value (g of the old j are below it).  Within a gap the gained
-    pattern and new q are constant; the new j is the old coordinates other
-    than the dropped one, those above the gap shifted up, with the new rank
-    inserted at a fixed position.
-    """
-    table = {}
-    for q in all_patterns(k - 1):
-        drop = q[0]
-        per_gap = []
-        for g in range(k):
-            ranks = [r + 1 if r > g else r for r in q]
-            gained = tuple(ranks) + (g + 1,)
-            new_q = reduction(ranks[1:] + [g + 1])
-            low = tuple(a - 1 for a in range(1, k) if a != drop and a <= g)
-            high = tuple(a - 1 for a in range(1, k) if a != drop and a > g)
-            per_gap.append((gained, new_q, low, high))
-        table[q] = tuple(per_gap)
-    return table
-
-
 def step_append(table: StateTable, assignment) -> StateTable:
     """Reference step: every cell spawns one child per rank i in 1..n+1."""
     n = table.n
@@ -199,63 +173,78 @@ def step_append(table: StateTable, assignment) -> StateTable:
     return StateTable(n + 1, table.k, {s: w for s, w in cells.items() if w})
 
 
-def step_append_aggregated(table: StateTable, assignment) -> StateTable:
-    """Same contract as `step_append`, via per-gap interval events.
+def _with_rank(ranks: tuple, g: int) -> tuple:
+    """Ranks with an entry of rank g+1 appended; those above it move up."""
+    return tuple(r + 1 if r > g else r for r in ranks) + (g + 1,)
 
-    For each (cell, gap) one contribution covers the whole run of ranks in
-    that gap; a sweep over the run boundaries then adds the running sum to
-    each child state.  Exact equality with the reference step is a tested
-    invariant.
+
+def _times(f, w):
+    return w if f == 1 else f * w
+
+
+def _pull_plan(k: int, factor) -> dict:
+    """Per retained order o and gap p: the child suffix and window factors.
+
+    A parent dropping its oldest entry, of rank d+1, keeps the order o.  A
+    child whose new entry lands in gap p of the retained values has suffix
+    o with rank p+1 appended, and a window factor fixed by d, except that
+    for d = p it moves by `change` once the new entry passes the dropped
+    value.  Drop indices whose fixed factor is 0 are left out.
+    """
+    m = k - 1
+    plan = {}
+    for o in all_patterns(m - 1):
+        parents = [(d + 1,) + _with_rank(o, d)[:-1] for d in range(m)]
+        plan[o] = []
+        for p in range(m):
+            # the dropped value is below the new entry exactly when d < p
+            fixed = [(d, factor(_with_rank(parents[d], p + (d < p)))) for d in range(m)]
+            below = factor(_with_rank(parents[p], p + 1))
+            plan[o].append((_with_rank(o, p), [(d, f) for d, f in fixed if f],
+                            below - fixed[p][1]))
+    return plan
+
+
+def step_append_aggregated(table: StateTable, assignment) -> StateTable:
+    """Same contract as `step_append`, pulled from retained-value groups.
+
+    Parents are grouped by what they keep: the retained order and values
+    (o, s).  A child of a group comes from no other, so it is written once,
+    with the fixed factors times the group's totals per drop index, plus a
+    running sum over the parents whose dropped value lies in its own gap.
     """
     n, k = table.n, table.k
-    trans = _transitions(k)
-    factors = {gained: assignment.factor(gained)
-               for per_gap in trans.values() for gained, _, _, _ in per_gap}
-    events: dict[tuple, list] = {}
-    events_get = events.get
-    top = n + 1
+    plan = _pull_plan(k, assignment.factor)
+    drops = {q: (q[0] - 1, reduction(q[1:])) for q in all_patterns(k - 1)}
+    # (o, s) -> drop index d -> dropped value -> weight
+    groups: dict[tuple, dict] = defaultdict(lambda: defaultdict(dict))
     for (q, j), w in table.cells.items():
-        lo = 1
-        for g, (gained, new_q, low, high) in enumerate(trans[q]):
-            # gap boundaries are consecutive, so the next lo is this hi + 1
-            hi = j[g] if g < k - 1 else top
-            f = factors[gained]
-            if f == 0:
-                lo = hi + 1
-                continue
-            template = tuple(j[a] for a in low) + tuple(j[a] + 1 for a in high)
-            contrib = w if f == 1 else w * f
-            key = (new_q, template, len(low))
-            bucket = events_get(key)
-            if bucket is None:
-                bucket = events[key] = []
-            bucket.append((lo, contrib))
-            bucket.append((hi + 1, -contrib))
-            lo = hi + 1
+        d, o = drops[q]
+        groups[o, j[:d] + j[d + 1:]][d][j[d]] = w
     cells: dict[State, object] = {}
-    for (new_q, template, pos), bucket in events.items():
-        bucket.sort(key=_event_position)
-        head, tail = template[:pos], template[pos:]
-        running = 0
-        idx = 0
-        while idx < len(bucket):
-            here = bucket[idx][0]
-            while idx < len(bucket) and bucket[idx][0] == here:
-                running = running + bucket[idx][1]
-                idx += 1
-            if idx == len(bucket):
-                break
-            if running:
-                nxt = bucket[idx][0]
-                for i in range(here, nxt):
-                    state = (new_q, head + (i,) + tail)
-                    prev = cells.get(state)
-                    cells[state] = running if prev is None else prev + running
-    return StateTable(n + 1, k, {s: w for s, w in cells.items() if w})
+    for (o, s), group in groups.items():
+        totals = {d: sum(dropped.values()) for d, dropped in group.items()}
+        lo = 1
+        for p, (new_q, fixed, change) in enumerate(plan[o]):
+            hi = s[p] if p < len(s) else n + 1
+            head, tail = s[:p], tuple(v + 1 for v in s[p:])
+            value = sum(_times(f, totals[d]) for d, f in fixed if d in totals)
+            if change and p in group:
+                dropped = group[p]
+                for x in sorted(dropped):
+                    if value:
+                        for i in range(lo, x + 1):
+                            cells[(new_q, head + (i,) + tail)] = value
+                    value = value + _times(change, dropped[x])
+                    lo = x + 1
+            if value:
+                for i in range(lo, hi + 1):
+                    cells[(new_q, head + (i,) + tail)] = value
+            lo = hi + 1
+    return StateTable(n + 1, k, cells)
 
 
-def enumerate_series(k: int, assignment, N: int,
-                     aggregated: bool = True) -> list[WeightPoly]:
+def enumerate_series(k: int, assignment, N: int) -> list[WeightPoly]:
     """Weighted counts of S_0..S_N, one window factor per length-k window.
 
     Sizes below k-1 carry no window at all, so their term is n!.  From size
@@ -266,7 +255,6 @@ def enumerate_series(k: int, assignment, N: int,
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    step = step_append_aggregated if aggregated else step_append
     out = []
     fact = 1
     for n in range(min(N, k - 2) + 1):
@@ -281,7 +269,7 @@ def enumerate_series(k: int, assignment, N: int,
         table = init_table(k)
         out.append(readout(table))
         while table.n < N:
-            table = step(table, assignment)
+            table = step_append_aggregated(table, assignment)
             out.append(readout(table))
     return out
 
@@ -386,7 +374,7 @@ def _direct_mixed_enum(avoid, track, n: int, nvars: int) -> WeightPoly:
 
 
 def enumerate_for_patterns(avoid: Iterable = (), track: Sequence = (),
-                           N: int = 0, aggregated: bool = True) -> list[WeightPoly]:
+                           N: int = 0) -> list[WeightPoly]:
     """Series for an arbitrary pattern family, avoided and tracked mixed.
 
     Same-length families go straight to `enumerate_series`.  Mixed-length
@@ -395,7 +383,7 @@ def enumerate_for_patterns(avoid: Iterable = (), track: Sequence = (),
     direct enumeration (at most (k-2)! permutations).
     """
     assignment = build_assignment(avoid, track)
-    series = enumerate_series(assignment.k, assignment, N, aggregated=aggregated)
+    series = enumerate_series(assignment.k, assignment, N)
     if isinstance(assignment, LiftedAssignment):
         avoid_t = assignment.avoid
         track_t = assignment.tracked

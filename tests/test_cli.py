@@ -186,14 +186,13 @@ def test_python_dash_m_matches_main():
     assert done.stdout == run_cli(argv)[1]
 
 
-def test_output_is_deterministic_across_threads_flag():
-    runs = set()
-    for threads in ("1", "2", "4"):
-        code, out, _ = run_cli(["count", "--avoid", "1324", "--n", "10",
-                                "--threads", threads, "--format", "json"])
-        assert code == 0
-        runs.add(out)
-    assert len(runs) == 1
+def test_interrupt_exits_130_without_traceback(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "count", interrupted)
+    code, out, err = run_cli(["count", "--avoid", "123", "--n", "6"])
+    assert (code, out, err) == (130, "", "error: interrupted\n")
 
 
 def test_repeated_runs_are_byte_identical():

@@ -247,6 +247,18 @@ def test_assemble_counts_specialized_matches_positive_engine():
         assert counts == [w.constant_value() for w in series]
 
 
+def test_avoidance_engines_agree_past_the_oracle_cap():
+    # every length-4 symmetry class, and one length-5 class per overlap set
+    reps4 = sorted({min(permcore.symmetry_class(q)) for q in all_patterns(4)})
+    reps5 = {}
+    for q in sorted({min(permcore.symmetry_class(q)) for q in all_patterns(5)}):
+        reps5.setdefault(overlap_set(q), q)
+    assert len(reps4) == 8 and len(reps5) == 4
+    for p, N in [(p, 28) for p in reps4] + [(p, 18) for p in reps5.values()]:
+        series = positive_dp.enumerate_series(len(p), PatternAssignment.avoiding([p]), N)
+        assert [w.constant_value() for w in series] == assemble_counts(p, N, t_value=0), p
+
+
 def test_tracked_engines_agree_past_the_oracle_cap():
     # one member of each length-4 symmetry class
     reps = sorted({min(permcore.symmetry_class(q)) for q in all_patterns(4)})

@@ -2,10 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwilf import permcore, positive_dp
 from cwilf.permcore import all_patterns, brute_avoider_count, brute_weight_enum
 from cwilf.positive_dp import (
+    PackedAssignment,
     StateTable,
     append_transition,
     build_assignment,
@@ -16,7 +19,7 @@ from cwilf.positive_dp import (
     step_append,
     step_append_aggregated,
 )
-from cwilf.weightring import PatternAssignment, WeightPoly
+from cwilf.weightring import PatternAssignment, WeightPoly, pack
 from helpers import factorials, random_state_table
 
 ALL_ONE_3 = PatternAssignment.all_one(3)
@@ -133,6 +136,32 @@ def test_direct_and_aggregated_steps_agree_on_random_tables():
         fast = step_append_aggregated(tbl, a)
         assert direct.n == fast.n
         assert direct.cells == fast.cells
+
+
+@st.composite
+def step_cases(draw):
+    k = draw(st.integers(2, 5))
+    pattern = st.permutations(range(1, k + 1)).map(tuple)
+    zero = draw(st.lists(pattern, max_size=2, unique=True))
+    track = draw(st.lists(pattern.filter(lambda p: p not in zero), max_size=2, unique=True))
+    return k, draw(st.integers(k - 1, 10)), zero, track, draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(step_cases())
+def test_pulled_step_matches_the_reference_on_random_tables(case):
+    k, n, zero, track, rng = case
+    tbl = random_state_table(rng, k, n, nvars=len(track), cells=rng.randint(1, 30))
+    a = PatternAssignment(k, zero=zero, tracked=track)
+    assert step_append_aggregated(tbl, a).cells == step_append(tbl, a).cells
+    # the same table on plain integers: packed when tracking, else constants
+    if track:
+        a = PackedAssignment(a, n + 1)
+        ints = {s: pack(w, a.layout) for s, w in tbl.cells.items()}
+    else:
+        ints = {s: w.constant_value() for s, w in tbl.cells.items()}
+    tbl = StateTable(n, k, ints)
+    assert step_append_aggregated(tbl, a).cells == step_append(tbl, a).cells
 
 
 def test_direct_and_aggregated_steps_agree_along_real_runs():
