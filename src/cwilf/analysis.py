@@ -8,6 +8,7 @@ permutations avoid them.  Floats appear here and nowhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -145,12 +146,18 @@ def _check_initial_terms(patterns: Sequence[tuple[int, ...]], terms: Sequence[in
 
 def tracked_series(track: Sequence[Sequence[int]], avoid: Sequence[Sequence[int]] = (),
                    N: int = 0, engine: str = "auto", cap: int | None = None) -> SeriesReport:
-    """Occurrence-tracking series: polynomial terms in the tracked variables."""
+    """Occurrence-tracking series: polynomial terms in the tracked variables.
+
+    With nothing forbidden, every term's value at 1 and first moments are
+    checked against their closed forms before returning
+    (`InconsistentResult` on a mismatch).
+    """
     track = tuple(tuple(p) for p in track)
     avoid = tuple(tuple(p) for p in avoid)
     if not track:
         raise ValueError("nothing tracked")
     pattern_text = ";".join(permcore.format_pattern(p) for p in track + avoid)
+    members = tuple(permcore.format_pattern(p) for p in track + avoid)
     if engine == "auto":
         engine = "cluster" if (len(track) == 1 and not avoid) else "positive"
     if engine == "cluster":
@@ -159,24 +166,50 @@ def tracked_series(track: Sequence[Sequence[int]], avoid: Sequence[Sequence[int]
         members = tuple(permcore.format_pattern(q) for q in permcore.symmetry_class(track[0]))
         rep = cluster_dp.choose_representative(track[0])
         terms = cluster_dp.assemble_counts(rep, N)
-        return SeriesReport(pattern_text, permcore.format_pattern(rep), members,
-                            "cluster", terms)
-    if engine == "positive":
+        report = SeriesReport(pattern_text, permcore.format_pattern(rep), members,
+                              "cluster", terms)
+    elif engine == "positive":
         series = positive_dp.enumerate_for_patterns(avoid=avoid, track=track, N=N)
-        return SeriesReport(pattern_text, pattern_text,
-                            tuple(permcore.format_pattern(p) for p in track + avoid),
-                            "positive", series)
-    if engine == "brute":
+        report = SeriesReport(pattern_text, pattern_text, members, "positive", series)
+    elif engine == "brute":
         _check_brute_depth(N, cap)
         assignment = positive_dp.build_assignment(avoid=avoid, track=track)
         if not isinstance(assignment, PatternAssignment):
             raise ValueError("brute tracking needs patterns of one length")
         terms = [permcore.brute_weight_enum(n, assignment.k, assignment, cap=cap)
                  for n in range(N + 1)]
-        return SeriesReport(pattern_text, pattern_text,
-                            tuple(permcore.format_pattern(p) for p in track + avoid),
-                            "brute", terms)
-    raise ValueError(f"unknown engine {engine!r}")
+        report = SeriesReport(pattern_text, pattern_text, members, "brute", terms)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    if not avoid:
+        _check_first_moments(track, report.terms)
+    return report
+
+
+def _check_first_moments(track: Sequence[tuple[int, ...]], terms: Sequence[WeightPoly]) -> None:
+    """P_n(1) = n! and dP_n/dt_i(1) = (n-m+1) n!/m! for tracked pattern i of length m.
+
+    A uniform permutation of size n has n-m+1 windows of length m, each of
+    which reduces to a given pattern with probability 1/m!.
+    """
+    fact = 1
+    for n, poly in enumerate(terms):
+        fact *= n or 1
+        mass = 0
+        moments = [0] * len(track)
+        for exps, c in poly.items():
+            mass += c
+            for i, e in enumerate(exps):
+                moments[i] += c * e
+        if mass != fact:
+            raise InconsistentResult(f"P_{n}(1) = {mass}, expected {fact}")
+        for p, got in zip(track, moments):
+            m = len(p)
+            expected = (n - m + 1) * (fact // math.factorial(m)) if n >= m else 0
+            if got != expected:
+                raise InconsistentResult(
+                    f"first moment of {permcore.format_pattern(p)} in P_{n}: {got}, "
+                    f"expected {expected}")
 
 
 @dataclass

@@ -6,9 +6,10 @@ configurations always produce identical bytes.
 
 Exit codes: 0 success, 2 usage or parse error, 3 brute-force cap exceeded,
 4 inconsistent result: a cross-check discrepancy under --strict, a packed
-polynomial that fails its P_n(1) = n! check, or an avoidance series whose
-first terms are not n! (n < k) and k! - |set| (n = k), 130 interrupted
-(Ctrl-C).
+polynomial that fails its P_n(1) = n! check, an avoidance series whose
+first terms are not n! (n < k) and k! - |set| (n = k), or a tracked series
+with nothing forbidden whose P_n(1) is not n! or whose first moment in a
+tracked pattern of length m is not (n-m+1) n!/m!, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations

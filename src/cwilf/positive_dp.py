@@ -11,14 +11,20 @@ append creates exactly one new window, whose pattern is a function of q and
 of which gap between consecutive j-values the new rank lands in; the window's
 factor (0, 1, or a tracked variable) multiplies the weight.
 
+A table is stored in the groups that the next append reads: a state keeps,
+after dropping its oldest entry, a retained order o and retained values s,
+and `StateTable.groups[o, s][d][x]` holds the weight of the state whose
+oldest entry has drop index d (its rank minus one) and value x.
+
 Two step implementations are provided.  `step_append` loops over every child
 rank i and is the reference.  `step_append_aggregated` pulls each child from
-the parents that keep the same retained order and values: every such parent
-adds its factor times its weight, and the factor changes only with whether
-the dropped value lies below the new entry.  Per group of parents, one fixed
-sum covers the other gaps and a running sum over the dropped values covers
-the gap itself, so a level costs one pass over the cells and one write per
-child.  The two must agree exactly on every input.
+its one group of parents: every parent adds its factor times its weight, and
+the factor changes only with whether the dropped value lies below the new
+entry.  Per group and gap, one fixed sum covers the other gaps and a running
+sum over the dropped values covers the gap itself.  Each child is written
+straight into its own group of the next table, so a level costs one pass
+over the groups and one write per child.  The two must agree exactly on
+every input.
 
 The steps are generic over the weight ring: integers, or `WeightPoly` for
 the tests and the reference runs.  `enumerate_series` runs tracked queries on
@@ -37,7 +43,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Mapping
+from functools import partial
 from typing import Iterable, Sequence
 
 from .permcore import all_patterns, is_permutation, occurrences, reduction
@@ -61,26 +68,92 @@ State = tuple[tuple[int, ...], tuple[int, ...]]
 PACKED_VARIABLES_MAX = 3
 
 
-@dataclass
+def _new_groups() -> defaultdict:
+    return defaultdict(partial(defaultdict, dict))
+
+
+def _suffix(o: tuple, d: int) -> tuple:
+    """The suffix order whose oldest entry has rank d+1 and whose rest reduces to o."""
+    return (d + 1,) + tuple(r + 1 if r > d else r for r in o)
+
+
 class StateTable:
-    """Weights of all permutations of size n, grouped by suffix state."""
-    n: int
-    k: int
-    cells: dict[State, object]
+    """Weights of all permutations of size n, grouped by suffix state.
+
+    A state (q, j) is stored under what it keeps on the next append:
+    `groups[o, s][d][x] = w`, where d = q[0]-1 is the drop index, x = j[d]
+    the value dropped next, and o = reduction(q[1:]) and s (j without x) the
+    retained order and values.  `cells` is the flat (q, j) -> w view.
+    """
+
+    def __init__(self, n: int, k: int, cells):
+        groups = _new_groups()
+        for (q, j), w in cells.items():
+            d = q[0] - 1
+            groups[reduction(q[1:]), j[:d] + j[d + 1:]][d][j[d]] = w
+        self.n, self.k, self.groups = n, k, groups
+
+    @classmethod
+    def _from_groups(cls, n: int, k: int, groups) -> StateTable:
+        table = cls.__new__(cls)
+        table.n, table.k, table.groups = n, k, groups
+        return table
+
+    @property
+    def cells(self) -> Mapping[State, object]:
+        return _Cells(self.groups)
 
     def weight_sum(self, assignment):
-        """Sum of all cell weights, with any suffix factors applied."""
+        """Sum of all cell weights, with any suffix factors applied.
+
+        A suffix factor depends only on q, that is on (o, d), so the weights
+        are added up per (o, d) and each sum gets its factor once.
+        """
+        sums: dict[tuple, list] = {}
+        for (o, _s), group in self.groups.items():
+            acc = sums.get(o)
+            if acc is None:
+                acc = sums[o] = [0] * (self.k - 1)
+            for d, dropped in group.items():
+                acc[d] = acc[d] + sum(dropped.values())
         total = 0
-        for (q, _j), w in self.cells.items():
-            f = assignment.suffix_factor(q)
-            if f == 0:
-                continue
-            total = total + (w if f == 1 else w * f)
+        for o, acc in sums.items():
+            for d, t in enumerate(acc):
+                f = assignment.suffix_factor(_suffix(o, d))
+                if f != 0:
+                    total = total + (t if f == 1 else f * t)
         return total
 
     def total(self, assignment) -> WeightPoly:
         """`weight_sum` as a polynomial."""
         return as_weight_poly(self.weight_sum(assignment), assignment.nvars)
+
+
+class _Cells(Mapping):
+    """The flat (q, j) -> w view of a table's groups."""
+
+    def __init__(self, groups):
+        self._groups = groups
+
+    def __len__(self) -> int:
+        return sum(len(dropped) for group in self._groups.values() for dropped in group.values())
+
+    def __getitem__(self, state: State):
+        q, j = state
+        d = q[0] - 1
+        group = self._groups.get((reduction(q[1:]), j[:d] + j[d + 1:]))
+        dropped = {} if group is None else group.get(d, {})
+        return dropped[j[d]]
+
+    def __iter__(self):
+        return (state for state, _w in self.items())
+
+    def items(self):
+        for (o, s), group in self._groups.items():
+            for d, dropped in group.items():
+                q = _suffix(o, d)
+                for x, w in dropped.items():
+                    yield (q, s[:d] + (x,) + s[d:]), w
 
 
 class PackedAssignment:
@@ -178,29 +251,27 @@ def _with_rank(ranks: tuple, g: int) -> tuple:
     return tuple(r + 1 if r > g else r for r in ranks) + (g + 1,)
 
 
-def _times(f, w):
-    return w if f == 1 else f * w
-
-
 def _pull_plan(k: int, factor) -> dict:
-    """Per retained order o and gap p: the child suffix and window factors.
+    """Per retained order o and gap p: the child's group and window factors.
 
     A parent dropping its oldest entry, of rank d+1, keeps the order o.  A
     child whose new entry lands in gap p of the retained values has suffix
-    o with rank p+1 appended, and a window factor fixed by d, except that
-    for d = p it moves by `change` once the new entry passes the dropped
-    value.  Drop indices whose fixed factor is 0 are left out.
+    q2 = o with rank p+1 appended, so it drops index d2 = q2[0]-1 next and
+    keeps the order o2 = reduction(q2[1:]).  Its window factor is fixed by
+    d, except that for d = p it moves by `change` once the new entry passes
+    the dropped value.  Drop indices whose fixed factor is 0 are left out.
     """
     m = k - 1
     plan = {}
     for o in all_patterns(m - 1):
-        parents = [(d + 1,) + _with_rank(o, d)[:-1] for d in range(m)]
+        parents = [_suffix(o, d) for d in range(m)]
         plan[o] = []
         for p in range(m):
             # the dropped value is below the new entry exactly when d < p
             fixed = [(d, factor(_with_rank(parents[d], p + (d < p)))) for d in range(m)]
             below = factor(_with_rank(parents[p], p + 1))
-            plan[o].append((_with_rank(o, p), [(d, f) for d, f in fixed if f],
+            q2 = _with_rank(o, p)
+            plan[o].append((q2[0] - 1, reduction(q2[1:]), [(d, f) for d, f in fixed if f],
                             below - fixed[p][1]))
     return plan
 
@@ -208,40 +279,55 @@ def _pull_plan(k: int, factor) -> dict:
 def step_append_aggregated(table: StateTable, assignment) -> StateTable:
     """Same contract as `step_append`, pulled from retained-value groups.
 
-    Parents are grouped by what they keep: the retained order and values
-    (o, s).  A child of a group comes from no other, so it is written once,
-    with the fixed factors times the group's totals per drop index, plus a
-    running sum over the parents whose dropped value lies in its own gap.
+    A child of the group (o, s) comes from no other group, so it is written
+    once, straight into its own group: the fixed factors times the group's
+    totals per drop index, plus a running sum over the parents whose dropped
+    value lies in its own gap.  In gap p the child's values are
+    s[:p] + (i,) + (s[p:] shifted up), so all but the new entry's i are
+    fixed per gap: the value x2 it drops next, and the retained values
+    around i.
     """
     n, k = table.n, table.k
     plan = _pull_plan(k, assignment.factor)
-    drops = {q: (q[0] - 1, reduction(q[1:])) for q in all_patterns(k - 1)}
-    # (o, s) -> drop index d -> dropped value -> weight
-    groups: dict[tuple, dict] = defaultdict(lambda: defaultdict(dict))
-    for (q, j), w in table.cells.items():
-        d, o = drops[q]
-        groups[o, j[:d] + j[d + 1:]][d][j[d]] = w
-    cells: dict[State, object] = {}
-    for (o, s), group in groups.items():
+    groups = _new_groups()
+    for (o, s), group in table.groups.items():
         totals = {d: sum(dropped.values()) for d, dropped in group.items()}
+        up = tuple([v + 1 for v in s])
+        bounds = s + (n + 1,)
         lo = 1
-        for p, (new_q, fixed, change) in enumerate(plan[o]):
-            hi = s[p] if p < len(s) else n + 1
-            head, tail = s[:p], tuple(v + 1 for v in s[p:])
-            value = sum(_times(f, totals[d]) for d, f in fixed if d in totals)
-            if change and p in group:
-                dropped = group[p]
-                for x in sorted(dropped):
-                    if value:
+        for p, (d2, o2, fixed, change) in enumerate(plan[o]):
+            hi = bounds[p]
+            value = 0
+            for d, f in fixed:
+                t = totals.get(d)
+                if t is not None:
+                    value = value + (t if f == 1 else f * t)
+            if d2 < p:
+                x2 = s[d2]
+                head, tail = s[:d2] + s[d2 + 1:p], up[p:]
+            elif d2 > p:
+                x2 = s[d2 - 1] + 1
+                head, tail = s[:p], up[p:d2 - 1] + up[d2:]
+            else:  # k = 2: the new entry is the whole suffix, dropped next
+                x2 = None
+                head = tail = ()
+            # split the gap at its dropped values, where the window factor moves
+            dropped = group.get(p) if change else None
+            cuts = sorted(dropped) if dropped else []
+            cuts.append(hi)
+            for x in cuts:
+                if value:
+                    if x2 is None:
+                        into = groups[o2, ()][d2]
                         for i in range(lo, x + 1):
-                            cells[(new_q, head + (i,) + tail)] = value
-                    value = value + _times(change, dropped[x])
-                    lo = x + 1
-            if value:
-                for i in range(lo, hi + 1):
-                    cells[(new_q, head + (i,) + tail)] = value
-            lo = hi + 1
-    return StateTable(n + 1, k, cells)
+                            into[i] = value
+                    else:
+                        for i in range(lo, x + 1):
+                            groups[o2, head + (i,) + tail][d2][x2] = value
+                if x < hi:
+                    value = value + (dropped[x] if change == 1 else change * dropped[x])
+                lo = x + 1
+    return StateTable._from_groups(n + 1, k, groups)
 
 
 def enumerate_series(k: int, assignment, N: int) -> list[WeightPoly]:

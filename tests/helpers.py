@@ -15,8 +15,8 @@ def random_poly(rng, nvars, max_terms=5, max_exp=4, max_coeff=30):
     return WeightPoly(nvars, terms)
 
 
-def random_state_table(rng, k, n, nvars=1, cells=12):
-    """An arbitrary (not necessarily reachable) valid table for step tests."""
+def random_cells(rng, k, n, nvars=1, cells=12):
+    """Arbitrary (not necessarily reachable) valid nonzero cells of size n."""
     pats = permcore.all_patterns(k - 1)
     table = {}
     for _ in range(cells):
@@ -27,7 +27,12 @@ def random_state_table(rng, k, n, nvars=1, cells=12):
             w = WeightPoly.const(rng.randint(1, 5), nvars)
         key = (q, j)
         table[key] = table.get(key, WeightPoly.zero(nvars)) + w
-    return StateTable(n, k, {s: w for s, w in table.items() if w})
+    return {s: w for s, w in table.items() if w}
+
+
+def random_state_table(rng, k, n, nvars=1, cells=12):
+    """An arbitrary (not necessarily reachable) valid table for step tests."""
+    return StateTable(n, k, random_cells(rng, k, n, nvars, cells))
 
 
 def filtering_cluster_enum(n, p):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cwilf import analysis, cli, cluster_dp, positive_dp
-from cwilf.weightring import Packing
+from cwilf.weightring import Packing, WeightPoly
 
 
 def run_cli(args, env=None, monkeypatch=None):
@@ -175,6 +175,42 @@ def test_corrupt_avoidance_term_exits_4(monkeypatch):
     assert code == cli.EXIT_INCONSISTENT
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("engine", ["cluster", "positive"])
+def test_corrupt_first_moment_exits_4(monkeypatch, engine):
+    # move one permutation of size 5 from one occurrence of 123 to two:
+    # P_5(1) = 5! still holds, the first moment (3 * 5!/3! = 60) does not
+    module, name = ((cluster_dp, "assemble_counts") if engine == "cluster"
+                    else (positive_dp, "enumerate_for_patterns"))
+    honest = getattr(module, name)
+
+    def corrupted(*args, **kwargs):
+        terms = honest(*args, **kwargs)
+        t = WeightPoly.variable(0, 1)
+        terms[5] = terms[5] - t + t * t
+        return terms
+
+    monkeypatch.setattr(module, name, corrupted)
+    code, out, err = run_cli(["count", "--track", "123", "--n", "8", "--engine", engine])
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "first moment" in err
+
+
+def test_short_packing_stride_exits_4(monkeypatch):
+    # one digit short, 123's top exponent spills into 321's and 321's into
+    # 132's; the digit sum holds and 132 stays in range, so only the first
+    # moments see it
+    def short_stride(nvars, coeff_bound, degree_bound):
+        return Packing(nvars, coeff_bound.bit_length() + 1, degree_bound)
+
+    monkeypatch.setattr(positive_dp, "packing_layout", short_stride)
+    code, out, err = run_cli(["count", "--track", "123;321;132", "--n", "12"])
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "first moment" in err
 
 
 def test_python_dash_m_matches_main():

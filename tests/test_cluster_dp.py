@@ -259,6 +259,14 @@ def test_avoidance_engines_agree_past_the_oracle_cap():
         assert [w.constant_value() for w in series] == assemble_counts(p, N, t_value=0), p
 
 
+def test_every_length_5_class_agrees_across_engines():
+    reps = sorted({min(permcore.symmetry_class(q)) for q in all_patterns(5)})
+    assert len(reps) == 32
+    for p in reps:
+        series = positive_dp.enumerate_series(5, PatternAssignment.avoiding([p]), 14)
+        assert [w.constant_value() for w in series] == assemble_counts(p, 14, t_value=0), p
+
+
 def test_tracked_engines_agree_past_the_oracle_cap():
     # one member of each length-4 symmetry class
     reps = sorted({min(permcore.symmetry_class(q)) for q in all_patterns(4)})

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cwilf import permcore, positive_dp
 from cwilf.permcore import all_patterns, brute_avoider_count, brute_weight_enum
 from cwilf.positive_dp import (
+    LiftedAssignment,
     PackedAssignment,
     StateTable,
     append_transition,
@@ -20,7 +22,7 @@ from cwilf.positive_dp import (
     step_append_aggregated,
 )
 from cwilf.weightring import PatternAssignment, WeightPoly, pack
-from helpers import factorials, random_state_table
+from helpers import factorials, random_cells, random_state_table
 
 ALL_ONE_3 = PatternAssignment.all_one(3)
 
@@ -162,6 +164,44 @@ def test_pulled_step_matches_the_reference_on_random_tables(case):
         ints = {s: w.constant_value() for s, w in tbl.cells.items()}
     tbl = StateTable(n, k, ints)
     assert step_append_aggregated(tbl, a).cells == step_append(tbl, a).cells
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(k - 1, 10), st.integers(1, 2), st.randoms(use_true_random=False))))
+def test_state_table_round_trips_its_cells(case):
+    k, n, nvars, rng = case
+    cells = random_cells(rng, k, n, nvars=nvars, cells=rng.randint(0, 30))
+    table = StateTable(n, k, cells)
+    assert len(table.cells) == len(cells)
+    assert table.cells == cells
+
+
+def test_all_ones_tables_hold_every_state():
+    # (k-1)! suffix orders times C(n, k-1) value sets, all reachable
+    for k in range(2, 6):
+        a = PatternAssignment.all_one(k)
+        table = init_table(k)
+        while True:
+            assert len(table.cells) == math.factorial(k - 1) * math.comb(table.n, k - 1)
+            if table.n == 9:
+                break
+            table = step_append_aggregated(table, a)
+
+
+def test_weight_sum_applies_each_cells_suffix_factor():
+    rng = random.Random(7)
+    families = [([(1, 2)], [(1, 2, 3)]), ([(2, 1, 3)], [(1, 2), (3, 2, 1)]),
+                ([], [(2, 1), (1, 3, 2), (1, 2, 3, 4)]), ([(1, 2, 3)], [(2, 1), (1, 2, 4, 3)])]
+    for avoid, track in families:
+        a = LiftedAssignment(avoid, track)
+        for _ in range(10):
+            n = rng.randint(a.k - 1, 9)
+            table = random_state_table(rng, a.k, n, nvars=a.nvars, cells=rng.randint(1, 40))
+            expected = WeightPoly.zero(a.nvars)
+            for (q, _j), w in table.cells.items():
+                expected = expected + a.suffix_factor(q) * w
+            assert table.weight_sum(a) == expected, (avoid, track, n)
 
 
 def test_direct_and_aggregated_steps_agree_along_real_runs():
