@@ -3,17 +3,18 @@
 The counting engines are exact; this module compares them against each
 other and against the brute-force oracles, estimates asymptotic growth from
 term ratios, and ranks the patterns of a given length by how many
-permutations avoid them.  Floats appear here and nowhere else.
+permutations avoid them.  Floats appear here and nowhere else.  Each route
+imports the engine it runs where it runs it, so a process that counts with
+one engine never loads the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
-from . import cluster_dp, permcore, positive_dp
+from . import permcore
 from .weightring import InconsistentResult, PatternAssignment, WeightPoly, term_text
 
 # Series depth mirroring what the engines are expected to sustain per
@@ -22,16 +23,19 @@ from .weightring import InconsistentResult, PatternAssignment, WeightPoly, term_
 DEFAULT_DEPTH = {3: 200, 4: 60, 5: 40, 6: 30}
 
 
-@dataclass
 class SeriesReport:
     """One pattern (or pattern set) with its computed series and metadata."""
-    pattern: str
-    representative: str
-    members: tuple[str, ...]
-    method: str
-    terms: list
-    growth: float | None = None
-    checks: dict = field(default_factory=dict)
+
+    def __init__(self, pattern: str, representative: str, members: tuple[str, ...],
+                 method: str, terms: list, growth: float | None = None,
+                 checks: dict | None = None):
+        self.pattern = pattern
+        self.representative = representative
+        self.members = members
+        self.method = method
+        self.terms = terms
+        self.growth = growth
+        self.checks = {} if checks is None else checks
 
     def to_json_dict(self) -> dict:
         return {
@@ -45,10 +49,9 @@ class SeriesReport:
         }
 
 
-@dataclass
-class GrowthEstimate:
-    estimate: float
-    tail_ratios: list[float]
+class GrowthEstimate(namedtuple("GrowthEstimate", "estimate tail_ratios")):
+    """The refined limit and the last five raw ratios (floats)."""
+    __slots__ = ()
 
 
 def growth_estimate(counts: Sequence[int]) -> GrowthEstimate:
@@ -63,6 +66,8 @@ def growth_estimate(counts: Sequence[int]) -> GrowthEstimate:
         raise ValueError("need at least 11 terms")
     if any(c <= 0 for c in counts):
         raise ValueError("counts must be positive")
+    from fractions import Fraction
+
     ratios = [Fraction(counts[n], n * counts[n - 1]) for n in range(1, N + 1)]
     refined = N * ratios[-1] - (N - 1) * ratios[-2]
     return GrowthEstimate(float(refined), [float(r) for r in ratios[-5:]])
@@ -86,11 +91,12 @@ def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
                      engine: str = "auto", cap: int | None = None) -> SeriesReport:
     """Avoidance counts for sizes 0..N, with the engine recorded.
 
-    auto routes single patterns to the cluster engine (on the cheapest
-    symmetry-class member, with t specialized to 0 up front) and pattern
-    sets to the positive engine; brute is only used when asked.  The terms
-    below and at the shortest pattern length are checked against their
-    closed form before returning (`InconsistentResult` on a mismatch).
+    auto routes single patterns to the cluster engine (on the
+    lexicographically smallest symmetry-class member, with t specialized to
+    0 up front) and pattern sets to the positive engine; brute is only used
+    when asked.  The terms below and at the shortest pattern length are
+    checked against their closed form before returning (`InconsistentResult`
+    on a mismatch).
     """
     patterns = tuple(tuple(p) for p in patterns)
     pattern_text = ";".join(permcore.format_pattern(p) for p in patterns)
@@ -106,11 +112,15 @@ def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
     if engine == "cluster":
         if len(patterns) != 1:
             raise ValueError("cluster engine handles a single pattern")
+        from . import cluster_dp
+
         rep = cluster_dp.choose_representative(patterns[0])
         terms = cluster_dp.assemble_counts(rep, N, t_value=0)
         report = SeriesReport(pattern_text, permcore.format_pattern(rep), members,
                               "cluster", terms)
     elif engine == "positive":
+        from . import positive_dp
+
         series = positive_dp.enumerate_for_patterns(avoid=patterns, N=N)
         report = SeriesReport(pattern_text, pattern_text, members,
                               "positive", _int_terms(series))
@@ -163,16 +173,22 @@ def tracked_series(track: Sequence[Sequence[int]], avoid: Sequence[Sequence[int]
     if engine == "cluster":
         if len(track) != 1 or avoid:
             raise ValueError("cluster engine tracks a single pattern")
+        from . import cluster_dp
+
         members = tuple(permcore.format_pattern(q) for q in permcore.symmetry_class(track[0]))
         rep = cluster_dp.choose_representative(track[0])
         terms = cluster_dp.assemble_counts(rep, N)
         report = SeriesReport(pattern_text, permcore.format_pattern(rep), members,
                               "cluster", terms)
     elif engine == "positive":
+        from . import positive_dp
+
         series = positive_dp.enumerate_for_patterns(avoid=avoid, track=track, N=N)
         report = SeriesReport(pattern_text, pattern_text, members, "positive", series)
     elif engine == "brute":
         _check_brute_depth(N, cap)
+        from . import positive_dp
+
         assignment = positive_dp.build_assignment(avoid=avoid, track=track)
         if not isinstance(assignment, PatternAssignment):
             raise ValueError("brute tracking needs patterns of one length")
@@ -212,13 +228,16 @@ def _check_first_moments(track: Sequence[tuple[int, ...]], terms: Sequence[Weigh
                     f"expected {expected}")
 
 
-@dataclass
 class CrossCheckReport:
-    patterns: tuple[str, ...]
-    n_max: int
-    methods: tuple[str, ...]
-    rows: list[dict]                 # per n: {"n": n, "equal": bool, "terms": {...}}
-    discrepancies: list[dict] = field(default_factory=list)
+    """Every method's terms per size, and the sizes where they differ."""
+
+    def __init__(self, patterns: tuple[str, ...], n_max: int, methods: tuple[str, ...],
+                 rows: list[dict], discrepancies: list[dict] | None = None):
+        self.patterns = patterns
+        self.n_max = n_max
+        self.methods = methods
+        self.rows = rows                 # per n: {"n": n, "equal": bool, "terms": {...}}
+        self.discrepancies = [] if discrepancies is None else discrepancies
 
     @property
     def ok(self) -> bool:
@@ -238,6 +257,8 @@ def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
     avoidance.  Mixed-length sets: direct scan versus the lifted positive
     engine.  Discrepancies are report content, never exceptions.
     """
+    from . import cluster_dp, positive_dp
+
     patterns = tuple(tuple(p) for p in patterns)
     texts = tuple(permcore.format_pattern(p) for p in patterns)
     columns: dict[str, list] = {}
@@ -291,6 +312,8 @@ def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:
         raise ValueError(f"hit parade supports lengths {sorted(DEFAULT_DEPTH)}")
     if N is None:
         N = DEFAULT_DEPTH[k]
+    from . import cluster_dp
+
     seen = set()
     rows = []
     for p in permcore.all_patterns(k):

@@ -18,9 +18,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
-from . import analysis, cluster_dp, permcore
+from . import analysis, permcore
 from .weightring import InconsistentResult, WeightPoly, term_text
 
 EXIT_OK = 0
@@ -127,6 +127,8 @@ def _cmd_clusters(args) -> int:
     p = permcore.parse_pattern(args.pattern)
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
+    from . import cluster_dp
+
     terms = cluster_dp.cluster_polys(p, args.n)
     if args.format == "json":
         report = analysis.SeriesReport(

@@ -34,10 +34,9 @@ weights, which the tests use as a reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 from .permcore import (
     format_pattern,
@@ -363,11 +362,9 @@ def _t_coeffs(w) -> dict[int, int]:
     return {0: w} if w else {}
 
 
-@dataclass
-class EgfReport:
+class EgfReport(namedtuple("EgfReport", "order residuals")):
     """Per-order residuals of F * (1 - z - G) - 1, exact rationals."""
-    order: int
-    residuals: list[dict[int, Fraction]]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -382,6 +379,8 @@ def egf_identity_check(P: Sequence, C: Sequence, N: int) -> EgfReport:
     """
     if len(P) < N + 1 or len(C) < N + 1:
         raise ValueError("series too short for requested order")
+    from fractions import Fraction
+
     f = []
     h = []
     for n in range(N + 1):
@@ -414,25 +413,26 @@ def _negate_var(poly: WeightPoly) -> WeightPoly:
     return WeightPoly(1, {e: (-c if e[0] % 2 else c) for e, c in poly.items()})
 
 
-@dataclass
-class Normalization:
-    sign: int
-    shift: int
-    negate_u: bool
-    verified_to: int
-    residual_orders: tuple[int, ...]
+class Normalization(namedtuple("Normalization",
+                               "sign shift negate_u verified_to residual_orders")):
+    """A candidate alignment g = sign * z^shift * c, with u negated if negate_u.
+
+    residual_orders lists the orders up to verified_to where it fails.
+    """
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:
         return not self.residual_orders
 
 
-@dataclass
 class Report321:
     """Outcome of matching the decreasing-triple cluster series against
     the closed algebraic equation g = -(t-1)z^2 - (t-1)(z+z^2)g."""
-    order: int
-    candidates: list[Normalization] = field(default_factory=list)
+
+    def __init__(self, order: int, candidates: list[Normalization] | None = None):
+        self.order = order
+        self.candidates = [] if candidates is None else candidates
 
     @property
     def matches(self) -> list[Normalization]:
@@ -491,14 +491,13 @@ def verify_321_equation(N: int) -> Report321:
 # -- symmetry representative ----------------------------------------------------
 
 def choose_representative(p: Sequence[int]) -> tuple[int, ...]:
-    """The symmetry-class member with the fewest admissible overlaps.
+    """The lexicographically smallest member of p's symmetry class.
 
-    Fewer overlaps mean fewer cluster transitions; counts are identical
-    across the class, so the cheapest member runs.  Ties break to the
-    lexicographically smallest pattern.
+    Counts are identical across the class, so any member could run; the
+    overlap set is the same for every member (reverse and complement
+    preserve it), so it cannot pick a cheaper one.
     """
-    p = _check_pattern(p)
-    return min(symmetry_class(p), key=lambda q: (len(overlap_set(q)), q))
+    return min(symmetry_class(_check_pattern(p)))
 
 
 # -- ending-cluster decomposition -----------------------------------------------

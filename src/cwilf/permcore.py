@@ -13,9 +13,9 @@ than silently running for hours.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
 
 from .weightring import PatternAssignment, WeightPoly, as_weight_poly
 
@@ -224,28 +224,27 @@ def brute_avoider_count(patterns: Iterable[Sequence[int]], n: int,
 
 # -- clusters -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClusterWitness:
+class ClusterWitness(namedtuple("ClusterWitness", "perm atoms pattern")):
     """A permutation with a covering chain of overlapping pattern windows.
 
     Atoms are window start positions, strictly increasing, each an
     occurrence of the pattern; consecutive windows overlap and together
-    they cover every position.
+    they cover every position.  Immutable and hashable; the constructor
+    validates.
     """
-    perm: tuple[int, ...]
-    atoms: tuple[int, ...]
-    pattern: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.perm)
-        k = len(self.pattern)
-        if not is_permutation(self.perm):
+    def __new__(cls, perm: tuple[int, ...], atoms: tuple[int, ...],
+                pattern: tuple[int, ...]):
+        n = len(perm)
+        k = len(pattern)
+        if not is_permutation(perm):
             raise ValueError("perm is not a permutation")
-        if not self.atoms:
+        if not atoms:
             raise ValueError("a cluster needs at least one atom")
-        occ = set(occurrences(self.perm, self.pattern))
+        occ = set(occurrences(perm, pattern))
         prev = None
-        for s in self.atoms:
+        for s in atoms:
             if s not in occ:
                 raise ValueError(f"start {s} is not an occurrence")
             if prev is not None:
@@ -254,8 +253,9 @@ class ClusterWitness:
                 if s > prev + k - 1:
                     raise ValueError("consecutive atoms must overlap")
             prev = s
-        if self.atoms[0] != 1 or self.atoms[-1] + k - 1 != n:
+        if atoms[0] != 1 or atoms[-1] + k - 1 != n:
             raise ValueError("atom windows must cover positions 1..n")
+        return super().__new__(cls, perm, atoms, pattern)
 
 
 def iter_cluster_witnesses(n: int, p: Sequence[int]) -> Iterator[ClusterWitness]:

@@ -43,9 +43,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from functools import partial
-from typing import Iterable, Sequence
 
 from .permcore import all_patterns, is_permutation, occurrences, reduction
 from .weightring import (

@@ -25,8 +25,8 @@ of the polynomial variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 
 class WeightPoly:
@@ -282,17 +282,14 @@ class PackingOverflow(InconsistentResult):
     """A packed value does not decode: its layout was too small for it."""
 
 
-@dataclass(frozen=True)
-class Packing:
+class Packing(namedtuple("Packing", "nvars bits stride")):
     """Kronecker layout: variable i is evaluated at 2^(bits * stride^i).
 
     A polynomial whose coefficients lie in [0, 2^bits) and whose exponents
     are all below `stride` becomes one integer at that point, and the
     base-2^bits digits of that integer are its coefficients.
     """
-    nvars: int
-    bits: int
-    stride: int
+    __slots__ = ()
 
     def variable(self, index: int) -> int:
         """The packed value of one variable."""

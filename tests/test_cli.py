@@ -222,6 +222,37 @@ def test_python_dash_m_matches_main():
     assert done.stdout == run_cli(argv)[1]
 
 
+def _modules_loaded_by(code):
+    """The modules a fresh interpreter imports while running `code`."""
+    probe = ("import json, sys\n"
+             "before = set(sys.modules)\n"
+             f"{code}\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_startup_loads_no_engine_and_no_heavy_stdlib():
+    loaded = _modules_loaded_by("import cwilf.cli as cli; cli.build_parser()")
+    assert "cwilf.cli" in loaded
+    heavy = {"cwilf.cluster_dp", "cwilf.positive_dp", "dataclasses", "inspect",
+             "fractions", "typing"}
+    assert not loaded & heavy
+
+
+@pytest.mark.parametrize("argv, engine, unused", [
+    (["count", "--avoid", "132", "--n", "20"], "cwilf.cluster_dp", "cwilf.positive_dp"),
+    (["count", "--avoid", "1324;2143", "--n", "8"], "cwilf.positive_dp", "cwilf.cluster_dp"),
+])
+def test_count_loads_only_the_engine_it_runs(argv, engine, unused):
+    loaded = _modules_loaded_by(f"from cwilf.cli import main; main({argv!r})")
+    assert engine in loaded
+    assert unused not in loaded
+
+
 def test_interrupt_exits_130_without_traceback(monkeypatch):
     def interrupted(args):
         raise KeyboardInterrupt

@@ -341,6 +341,15 @@ def test_choose_representative():
             len(overlap_set(q)) for q in permcore.symmetry_class(p))
 
 
+def test_representative_is_the_lex_min_class_member():
+    # reverse and complement keep the overlap set, so it cannot rank members
+    for k in range(3, 7):
+        for p in all_patterns(k):
+            members = permcore.symmetry_class(p)
+            assert choose_representative(p) == min(members)
+            assert {overlap_set(q) for q in members} == {overlap_set(p)}
+
+
 def test_split_ending_cluster_worked_example():
     pi = (1, 5, 7, 4, 2, 3, 6, 8, 9)
     remainder, rest, ending = split_ending_cluster(pi, (1, 5, 6, 7), (1, 2, 3))
