@@ -84,10 +84,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cap(args) -> int | None:
+    """The brute-force cap: --cap, else $CWILF_CAP, else None (the default)."""
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("CWILF_CAP")
-    return int(env) if env else None
+        cap, source = args.cap, "--cap"
+    else:
+        env = os.environ.get("CWILF_CAP")
+        if not env:
+            return None
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"CWILF_CAP must be a nonnegative integer, not {env!r}") from None
+        source = "CWILF_CAP"
+    if cap < 0:
+        raise ValueError(f"{source} must be nonnegative")
+    return cap
 
 
 def _emit(text: str) -> None:
@@ -187,6 +198,8 @@ def _cmd_hitparade(args) -> int:
     k = args.k if args.k is not None else args.k_flag
     if k is None:
         raise ValueError("hitparade needs a pattern length")
+    if args.n is not None and args.n < 0:
+        raise ValueError("--n must be nonnegative")
     rows = analysis.hit_parade(k, args.n)
     if args.format == "json":
         _emit_json([r.to_json_dict() for r in rows])

@@ -13,8 +13,10 @@ factor (0, 1, or a tracked variable) multiplies the weight.
 
 A table is stored in the groups that the next append reads: a state keeps,
 after dropping its oldest entry, a retained order o and retained values s,
-and `StateTable.groups[o, s][d][x]` holds the weight of the state whose
-oldest entry has drop index d (its rank minus one) and value x.
+packed into one integer group key, and `StateTable.groups[d][key][x]` holds
+the weight of the state whose oldest entry has drop index d (its rank minus
+one) and value x.  Each table sums its groups per drop index once, when it
+is built; the readout and the next step share those totals.
 
 Two step implementations are provided.  `step_append` loops over every child
 rank i and is the reference.  `step_append_aggregated` pulls each child from
@@ -22,9 +24,11 @@ its one group of parents: every parent adds its factor times its weight, and
 the factor changes only with whether the dropped value lies below the new
 entry.  Per group and gap, one fixed sum covers the other gaps and a running
 sum over the dropped values covers the gap itself.  Each child is written
-straight into its own group of the next table, so a level costs one pass
-over the groups and one write per child.  The two must agree exactly on
-every input.
+straight into its own group of the next table, whose key steps by a fixed
+stride with the new entry, so a level costs one pass over the groups and
+one integer-keyed write per child.  Which factor applies where is worked
+out once per run, in a plan that each table hands on to its child.  The two
+steps must agree exactly on every input.
 
 The steps are generic over the weight ring: integers, or `WeightPoly` for
 the tests and the reference runs.  `enumerate_series` runs tracked queries on
@@ -44,7 +48,6 @@ import itertools
 import math
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from functools import partial
 
 from .permcore import all_patterns, is_permutation, occurrences, reduction
 from .weightring import (
@@ -67,60 +70,92 @@ State = tuple[tuple[int, ...], tuple[int, ...]]
 PACKED_VARIABLES_MAX = 3
 
 
-def _new_groups() -> defaultdict:
-    return defaultdict(partial(defaultdict, dict))
-
-
 def _suffix(o: tuple, d: int) -> tuple:
     """The suffix order whose oldest entry has rank d+1 and whose rest reduces to o."""
     return (d + 1,) + tuple(r + 1 if r > d else r for r in o)
 
 
+def _group_key(order_index: int, values: Iterable[int], width: int) -> int:
+    key = order_index
+    for v in values:
+        key = key << width | v
+    return key
+
+
 class StateTable:
     """Weights of all permutations of size n, grouped by suffix state.
 
-    A state (q, j) is stored under what it keeps on the next append:
-    `groups[o, s][d][x] = w`, where d = q[0]-1 is the drop index, x = j[d]
-    the value dropped next, and o = reduction(q[1:]) and s (j without x) the
-    retained order and values.  `cells` is the flat (q, j) -> w view.
+    A state (q, j) is stored under what it keeps on the next append: its
+    drop index d = q[0]-1, the value x = j[d] it drops next, and one integer
+    key for its retained order o = reduction(q[1:]) and retained values s
+    (j without x), so that `groups[d][key][x] = w`.  The key holds the index
+    of o among the orders of length k-2, then one field of `width` =
+    bitlen(n) bits per value of s, smallest first.  `totals[key][d]` is the
+    sum of `groups[d][key]` (0 where it is empty), taken once when the table
+    is built for the readout and the next step to share.  `cells` is the
+    flat (q, j) -> w view.
     """
 
     def __init__(self, n: int, k: int, cells):
-        groups = _new_groups()
+        width = n.bit_length()
+        index = {o: i for i, o in enumerate(all_patterns(k - 2))}
+        groups = [defaultdict(dict) for _ in range(k - 1)]
         for (q, j), w in cells.items():
             d = q[0] - 1
-            groups[reduction(q[1:]), j[:d] + j[d + 1:]][d][j[d]] = w
-        self.n, self.k, self.groups = n, k, groups
+            groups[d][_group_key(index[reduction(q[1:])], j[:d] + j[d + 1:], width)][j[d]] = w
+        self._build(n, k, groups, None)
 
     @classmethod
-    def _from_groups(cls, n: int, k: int, groups) -> StateTable:
+    def _from_groups(cls, n: int, k: int, groups: list, plan) -> StateTable:
         table = cls.__new__(cls)
-        table.n, table.k, table.groups = n, k, groups
+        table._build(n, k, groups, plan)
         return table
+
+    def _build(self, n: int, k: int, groups: list, plan) -> None:
+        # plan: (assignment, pull plan) of the run that built the table, or None
+        self.n, self.k, self.groups, self._plan = n, k, groups, plan
+        self.width = n.bit_length()
+        totals: dict[int, list] = {}
+        for d, by_key in enumerate(groups):
+            for key, dropped in by_key.items():
+                sums = totals.get(key)
+                if sums is None:
+                    sums = totals[key] = [0] * (k - 1)
+                sums[d] = sum(dropped.values())
+        self.totals = totals
+
+    def _retained(self, key: int) -> tuple[int, list[int]]:
+        """The order index and the retained values in a group key."""
+        fields, width = self.k - 2, self.width
+        mask = (1 << width) - 1
+        return key >> width * fields, [key >> width * t & mask for t in range(fields - 1, -1, -1)]
 
     @property
     def cells(self) -> Mapping[State, object]:
-        return _Cells(self.groups)
+        return _Cells(self)
 
     def weight_sum(self, assignment):
         """Sum of all cell weights, with any suffix factors applied.
 
-        A suffix factor depends only on q, that is on (o, d), so the weights
-        are added up per (o, d) and each sum gets its factor once.
+        A suffix factor depends only on q, that is on (o, d), so the group
+        totals are added up per (o, d) and each sum gets its factor once.
         """
-        sums: dict[tuple, list] = {}
-        for (o, _s), group in self.groups.items():
-            acc = sums.get(o)
-            if acc is None:
-                acc = sums[o] = [0] * (self.k - 1)
-            for d, dropped in group.items():
-                acc[d] = acc[d] + sum(dropped.values())
+        m = self.k - 1
+        shift = self.width * (m - 1)
+        by_order: dict[int, list] = {}
+        for key, sums in self.totals.items():
+            acc = by_order.setdefault(key >> shift, [0] * m)
+            for d, t in enumerate(sums):
+                if t:
+                    acc[d] = acc[d] + t
+        orders = all_patterns(m - 1)
         total = 0
-        for o, acc in sums.items():
+        for oi, acc in by_order.items():
             for d, t in enumerate(acc):
-                f = assignment.suffix_factor(_suffix(o, d))
-                if f != 0:
-                    total = total + (t if f == 1 else f * t)
+                if t:
+                    f = assignment.suffix_factor(_suffix(orders[oi], d))
+                    if f != 0:
+                        total = total + (t if f == 1 else f * t)
         return total
 
     def total(self, assignment) -> WeightPoly:
@@ -131,28 +166,36 @@ class StateTable:
 class _Cells(Mapping):
     """The flat (q, j) -> w view of a table's groups."""
 
-    def __init__(self, groups):
-        self._groups = groups
+    def __init__(self, table: StateTable):
+        self._table = table
 
     def __len__(self) -> int:
-        return sum(len(dropped) for group in self._groups.values() for dropped in group.values())
+        return sum(len(dropped) for by_key in self._table.groups for dropped in by_key.values())
 
     def __getitem__(self, state: State):
         q, j = state
+        table = self._table
+        # a value outside 1..n would spill into the next field of the key
+        if (sorted(q) != list(range(1, table.k)) or len(j) != len(q)
+                or list(j) != sorted(set(j)) or not 1 <= j[0] <= j[-1] <= table.n):
+            raise KeyError(state)
         d = q[0] - 1
-        group = self._groups.get((reduction(q[1:]), j[:d] + j[d + 1:]))
-        dropped = {} if group is None else group.get(d, {})
-        return dropped[j[d]]
+        key = _group_key(all_patterns(table.k - 2).index(reduction(q[1:])),
+                         j[:d] + j[d + 1:], table.width)
+        return table.groups[d].get(key, {})[j[d]]
 
     def __iter__(self):
         return (state for state, _w in self.items())
 
     def items(self):
-        for (o, s), group in self._groups.items():
-            for d, dropped in group.items():
-                q = _suffix(o, d)
+        table = self._table
+        orders = all_patterns(table.k - 2)
+        for d, by_key in enumerate(table.groups):
+            for key, dropped in by_key.items():
+                oi, s = table._retained(key)
+                q = _suffix(orders[oi], d)
                 for x, w in dropped.items():
-                    yield (q, s[:d] + (x,) + s[d:]), w
+                    yield (q, (*s[:d], x, *s[d:])), w
 
 
 class PackedAssignment:
@@ -250,8 +293,8 @@ def _with_rank(ranks: tuple, g: int) -> tuple:
     return tuple(r + 1 if r > g else r for r in ranks) + (g + 1,)
 
 
-def _pull_plan(k: int, factor) -> dict:
-    """Per retained order o and gap p: the child's group and window factors.
+def _pull_plan(k: int, factor) -> list:
+    """Per retained order (by index) and gap p: the child's group and factors.
 
     A parent dropping its oldest entry, of rank d+1, keeps the order o.  A
     child whose new entry lands in gap p of the retained values has suffix
@@ -259,20 +302,56 @@ def _pull_plan(k: int, factor) -> dict:
     keeps the order o2 = reduction(q2[1:]).  Its window factor is fixed by
     d, except that for d = p it moves by `change` once the new entry passes
     the dropped value.  Drop indices whose fixed factor is 0 are left out.
+
+    The child's values are s[:p] + (i,) + (s[p:] each plus one).  It drops
+    the one at index d2 next and keeps the rest in order: `kept` gives, per
+    value field of its group key, the pair (r, u) for the value s[r] + u, or
+    None for the new entry i; `x2_from` gives the pair for the value x2 it
+    drops, or None when k = 2 and x2 is i itself.
     """
     m = k - 1
-    plan = {}
-    for o in all_patterns(m - 1):
+    orders = all_patterns(m - 1)
+    index = {o: oi for oi, o in enumerate(orders)}
+    plan = []
+    for o in orders:
         parents = [_suffix(o, d) for d in range(m)]
-        plan[o] = []
+        rows = []
         for p in range(m):
             # the dropped value is below the new entry exactly when d < p
             fixed = [(d, factor(_with_rank(parents[d], p + (d < p)))) for d in range(m)]
             below = factor(_with_rank(parents[p], p + 1))
             q2 = _with_rank(o, p)
-            plan[o].append((q2[0] - 1, reduction(q2[1:]), [(d, f) for d, f in fixed if f],
-                            below - fixed[p][1]))
+            d2 = q2[0] - 1
+            values = [(r, 0) for r in range(p)] + [None] + [(r, 1) for r in range(p, m - 1)]
+            rows.append((d2, index[reduction(q2[1:])], [(d, f) for d, f in fixed if f],
+                         below - fixed[p][1], values[:d2] + values[d2 + 1:], values[d2]))
+        plan.append(rows)
     return plan
+
+
+def _at_width(plan: list, k: int, width: int) -> list:
+    """The plan with its child key fields laid out at `width` bits per value.
+
+    Each row becomes (d2, fixed, change, base, copies, stride, x2_from): the
+    order field and the u of every (r, u) in `base`, an (r, bit offset) per
+    retained value copied, and the stride of the new entry's field.
+    """
+    top = width * (k - 2)
+    out = []
+    for rows in plan:
+        level = []
+        for d2, o2, fixed, change, kept, x2_from in rows:
+            base, copies, stride = o2 << top, [], 1
+            for t, field in enumerate(kept):
+                offset = top - width * (t + 1)
+                if field is None:
+                    stride = 1 << offset
+                else:
+                    copies.append((field[0], offset))
+                    base += field[1] << offset
+            level.append((d2, fixed, change, base, copies, stride, x2_from))
+        out.append(level)
+    return out
 
 
 def step_append_aggregated(table: StateTable, assignment) -> StateTable:
@@ -281,52 +360,58 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
     A child of the group (o, s) comes from no other group, so it is written
     once, straight into its own group: the fixed factors times the group's
     totals per drop index, plus a running sum over the parents whose dropped
-    value lies in its own gap.  In gap p the child's values are
-    s[:p] + (i,) + (s[p:] shifted up), so all but the new entry's i are
-    fixed per gap: the value x2 it drops next, and the retained values
-    around i.
+    value lies in its own gap.  In gap p only the new entry i varies, so the
+    value x2 the child drops next is fixed and its group key is an
+    arithmetic progression in i.
+
+    The plan depends only on the assignment.  The first step builds it and
+    each table hands it on to its child.
     """
     n, k = table.n, table.k
-    plan = _pull_plan(k, assignment.factor)
-    groups = _new_groups()
-    for (o, s), group in table.groups.items():
-        totals = {d: sum(dropped.values()) for d, dropped in group.items()}
-        up = tuple([v + 1 for v in s])
-        bounds = s + (n + 1,)
+    plan = table._plan
+    if plan is None or plan[0] is not assignment:
+        plan = (assignment, _pull_plan(k, assignment.factor))
+    rows_of = _at_width(plan[1], k, (n + 1).bit_length())
+    groups = [defaultdict(dict) for _ in range(k - 1)]
+    parents = table.groups
+    # the parent keys' layout, as in `StateTable._retained`
+    mask = (1 << table.width) - 1
+    offsets = [table.width * t for t in range(k - 3, -1, -1)]
+    top = table.width * (k - 2)
+    for key, totals in table.totals.items():
+        s = [key >> offset & mask for offset in offsets]
+        s.append(n + 1)
         lo = 1
-        for p, (d2, o2, fixed, change) in enumerate(plan[o]):
-            hi = bounds[p]
+        for p, (d2, fixed, change, base, copies, stride, x2_from) in enumerate(rows_of[key >> top]):
+            hi = s[p]
             value = 0
             for d, f in fixed:
-                t = totals.get(d)
-                if t is not None:
+                t = totals[d]
+                if t:
                     value = value + (t if f == 1 else f * t)
-            if d2 < p:
-                x2 = s[d2]
-                head, tail = s[:d2] + s[d2 + 1:p], up[p:]
-            elif d2 > p:
-                x2 = s[d2 - 1] + 1
-                head, tail = s[:p], up[p:d2 - 1] + up[d2:]
-            else:  # k = 2: the new entry is the whole suffix, dropped next
-                x2 = None
-                head = tail = ()
+            for r, offset in copies:
+                base += s[r] << offset
+            x2 = 0 if x2_from is None else s[x2_from[0]] + x2_from[1]
+            into = groups[d2]
             # split the gap at its dropped values, where the window factor moves
-            dropped = group.get(p) if change else None
-            cuts = sorted(dropped) if dropped else []
-            cuts.append(hi)
-            for x in cuts:
-                if value:
-                    if x2 is None:
-                        into = groups[o2, ()][d2]
-                        for i in range(lo, x + 1):
-                            into[i] = value
-                    else:
-                        for i in range(lo, x + 1):
-                            groups[o2, head + (i,) + tail][d2][x2] = value
-                if x < hi:
-                    value = value + (dropped[x] if change == 1 else change * dropped[x])
-                lo = x + 1
-    return StateTable._from_groups(n + 1, k, groups)
+            dropped = parents[p].get(key) if change else None
+            if dropped:
+                for x, w in sorted(dropped.items()):
+                    if value:
+                        for child in range(base + lo * stride, base + (x + 1) * stride, stride):
+                            into[child][x2] = value
+                    value = value + (w if change == 1 else change * w)
+                    lo = x + 1
+            if value:
+                for child in range(base + lo * stride, base + (hi + 1) * stride, stride):
+                    into[child][x2] = value
+            lo = hi + 1
+    if k == 2:
+        # a child keeps no values and drops its new entry i next: the loop
+        # filed it under key i, and its cell moves to key 0, value i
+        cells = {i: row[0] for i, row in groups[0].items()}
+        groups[0] = defaultdict(dict, {0: cells} if cells else {})
+    return StateTable._from_groups(n + 1, k, groups, plan)
 
 
 def enumerate_series(k: int, assignment, N: int) -> list[WeightPoly]:

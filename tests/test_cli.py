@@ -147,6 +147,33 @@ def test_cap_env_and_flag(monkeypatch):
     assert code == 0
 
 
+def test_hitparade_refuses_negative_n():
+    code, out, err = run_cli(["hitparade", "3", "--n", "-1"])
+    assert (code, out, err) == (2, "", "error: --n must be nonnegative\n")
+
+
+@pytest.mark.parametrize("flag, env, source", [
+    (["--cap", "-1"], {}, "--cap"),
+    ([], {"CWILF_CAP": "-2"}, "CWILF_CAP"),
+    ([], {"CWILF_CAP": "x"}, "CWILF_CAP"),
+    (["--cap", "-1"], {"CWILF_CAP": "6"}, "--cap"),
+])
+def test_invalid_cap_exits_2(monkeypatch, flag, env, source):
+    code, out, err = run_cli(["count", "--avoid", "123", "--n", "3", "--engine", "brute", *flag],
+                             env=env, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {source} must be") and len(err.splitlines()) == 1
+
+
+def test_cap_zero_is_a_cap(monkeypatch):
+    code, out, _ = run_cli(["count", "--avoid", "123", "--n", "0", "--engine", "brute",
+                            "--cap", "0"])
+    assert (code, out) == (0, "1\n")
+    code, _, err = run_cli(["count", "--avoid", "123", "--n", "1", "--engine", "brute"],
+                           env={"CWILF_CAP": "0"}, monkeypatch=monkeypatch)
+    assert code == 3 and "exceeds cap 0" in err
+
+
 @pytest.mark.parametrize("engine", ["cluster", "positive"])
 def test_undersized_packing_exits_4(monkeypatch, engine):
     def undersized(nvars, coeff_bound, degree_bound):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwilf import permcore, positive_dp
@@ -149,8 +149,27 @@ def step_cases(draw):
     return k, draw(st.integers(k - 1, 10)), zero, track, draw(st.randoms(use_true_random=False))
 
 
+# Group keys take bitlen(n) bits per value, so the children of parents of
+# size 7, 15 and 31 are laid out one bit wider.  Each size at a boundary runs
+# once avoiding (integer weights) and once tracking (packed weights), after
+# the polynomial run every case makes.
+BOUNDARY_STEP_CASES = [
+    case for n in (7, 8, 15, 16, 31, 32) for case in (
+        (4, n, [(1, 3, 2, 4)], [], random.Random(n)),
+        (5, n, [], [(5, 4, 3, 2, 1)], random.Random(n)))]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(step_cases())
+@_with_examples(BOUNDARY_STEP_CASES)
 def test_pulled_step_matches_the_reference_on_random_tables(case):
     k, n, zero, track, rng = case
     tbl = random_state_table(rng, k, n, nvars=len(track), cells=rng.randint(1, 30))
@@ -169,12 +188,54 @@ def test_pulled_step_matches_the_reference_on_random_tables(case):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 5).flatmap(lambda k: st.tuples(
     st.just(k), st.integers(k - 1, 10), st.integers(1, 2), st.randoms(use_true_random=False))))
+@_with_examples([(k, n, 1, random.Random(n)) for n in (7, 8, 15, 16, 31, 32) for k in (2, 4, 5)])
 def test_state_table_round_trips_its_cells(case):
     k, n, nvars, rng = case
     cells = random_cells(rng, k, n, nvars=nvars, cells=rng.randint(0, 30))
     table = StateTable(n, k, cells)
     assert len(table.cells) == len(cells)
     assert table.cells == cells
+
+
+def test_cells_view_holds_only_the_tables_states():
+    table = init_table(4)
+    while table.n < 7:
+        table = step_append_aggregated(table, PatternAssignment.all_one(4))
+    # 3 bits per value: (2, 12) would pack like the retained values (3, 4)
+    assert ((1, 2, 3), (1, 3, 4)) in table.cells
+    for state in [((1, 2, 3), (1, 2, 12)), ((1, 1, 3), (1, 3, 4)), ((1, 2, 3), (3, 1, 4)),
+                  ((1, 2, 3), (0, 3, 4)), ((1, 2), (3, 4))]:
+        assert state not in table.cells
+        with pytest.raises(KeyError):
+            table.cells[state]
+
+
+def test_a_table_steps_under_another_assignment():
+    # the child of a step keeps the plan of the assignment that made it
+    first = PatternAssignment(4, zero=[(1, 3, 2, 4)])
+    second = PatternAssignment(4, zero=[(2, 1, 4, 3)], tracked=[(1, 2, 3, 4)])
+    table = init_table(4)
+    for _ in range(5):
+        table = step_append_aggregated(table, first)
+    poly = StateTable(table.n, 4, {s: WeightPoly.const(w, 1) for s, w in table.cells.items()})
+    assert step_append_aggregated(table, second).cells == step_append(poly, second).cells
+    again = step_append_aggregated(step_append_aggregated(table, second), first)
+    assert again.cells == step_append(step_append(table, second), first).cells
+
+
+def test_one_pull_plan_per_run(monkeypatch):
+    built = []
+    honest = positive_dp._pull_plan
+
+    def counted(k, factor):
+        built.append(k)
+        return honest(k, factor)
+
+    monkeypatch.setattr(positive_dp, "_pull_plan", counted)
+    enumerate_series(4, PatternAssignment.avoiding([(1, 3, 2, 4), (2, 1, 4, 3)]), 12)
+    assert built == [4]
+    enumerate_series(3, PatternAssignment.tracking([(1, 2, 3), (3, 2, 1)]), 12)
+    assert built == [4, 3]
 
 
 def test_all_ones_tables_hold_every_state():
