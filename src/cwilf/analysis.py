@@ -5,7 +5,8 @@ other and against the brute-force oracles, estimates asymptotic growth from
 term ratios, and ranks the patterns of a given length by how many
 permutations avoid them.  Floats appear here and nowhere else.  Each route
 imports the engine it runs where it runs it, so a process that counts with
-one engine never loads the other.
+one engine never loads the other, and only the routes that build
+polynomials (tracking, brute force, cross-checks) load the weight ring.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import permcore
-from .weightring import InconsistentResult, PatternAssignment, WeightPoly, term_text
+from .permcore import InconsistentResult
 
 # Series depth mirroring what the engines are expected to sustain per
 # pattern length; single patterns run on the cluster engine at these
@@ -43,10 +44,20 @@ class SeriesReport:
             "representative": self.representative,
             "class": list(self.members),
             "method": self.method,
-            "terms": [term_text(t) for t in self.terms],
+            "terms": term_texts(self.terms),
             "growth": self.growth,
             "checks": self.checks,
         }
+
+
+def term_texts(terms: Sequence) -> list[str]:
+    """Canonical text of each series term; an integer series never loads the
+    weight ring (`str` gives the same text as `weightring.term_text`)."""
+    if all(isinstance(t, int) for t in terms):
+        return [str(t) for t in terms]
+    from .weightring import term_text
+
+    return [term_text(t) for t in terms]
 
 
 class GrowthEstimate(namedtuple("GrowthEstimate", "estimate tail_ratios")):
@@ -74,10 +85,7 @@ def growth_estimate(counts: Sequence[int]) -> GrowthEstimate:
 
 
 def _int_terms(series: Sequence) -> list[int]:
-    out = []
-    for w in series:
-        out.append(w.constant_value() if isinstance(w, WeightPoly) else int(w))
-    return out
+    return [w if isinstance(w, int) else w.constant_value() for w in series]
 
 
 def _check_brute_depth(N: int, cap: int | None) -> None:
@@ -91,12 +99,14 @@ def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
                      engine: str = "auto", cap: int | None = None) -> SeriesReport:
     """Avoidance counts for sizes 0..N, with the engine recorded.
 
-    auto routes single patterns to the cluster engine (on the
-    lexicographically smallest symmetry-class member, with t specialized to
-    0 up front) and pattern sets to the positive engine; brute is only used
-    when asked.  The terms below and at the shortest pattern length are
-    checked against their closed form before returning (`InconsistentResult`
-    on a mismatch).
+    auto routes single patterns to the cluster engine and pattern sets to
+    the positive engine; brute is only used when asked.  The cluster engine
+    runs the symmetry-class member that `cluster_dp.rank_orientations`
+    finds cheapest, with t specialized to 0 up front, and checks it against
+    the other members (`_cluster_avoidance`); the report names the
+    lexicographically smallest member as the representative either way.
+    The terms below and at the shortest pattern length are checked against
+    their closed form before returning (`InconsistentResult` on a mismatch).
     """
     patterns = tuple(tuple(p) for p in patterns)
     pattern_text = ";".join(permcore.format_pattern(p) for p in patterns)
@@ -115,9 +125,8 @@ def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
         from . import cluster_dp
 
         rep = cluster_dp.choose_representative(patterns[0])
-        terms = cluster_dp.assemble_counts(rep, N, t_value=0)
         report = SeriesReport(pattern_text, permcore.format_pattern(rep), members,
-                              "cluster", terms)
+                              "cluster", _cluster_avoidance(patterns[0], N))
     elif engine == "positive":
         from . import positive_dp
 
@@ -129,6 +138,8 @@ def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
         lengths = {len(p) for p in patterns}
         terms = []
         if len(lengths) == 1:
+            from .weightring import PatternAssignment
+
             assignment = PatternAssignment.avoiding(patterns)
             for n in range(N + 1):
                 terms.append(permcore.brute_weight_enum(n, assignment.k, assignment,
@@ -141,6 +152,28 @@ def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
         raise ValueError(f"unknown engine {engine!r}")
     _check_initial_terms(patterns, report.terms)
     return report
+
+
+def _cluster_avoidance(p: tuple[int, ...], N: int) -> list[int]:
+    """Avoidance counts of one pattern to size N on its cheapest orientation.
+
+    Every member of the class is probed (`cluster_dp.rank_orientations`),
+    and the run's first terms must equal each member's probe counts: the
+    other members build different tables, so a fault in the tables of one
+    shows as a mismatch (`InconsistentResult`).
+    """
+    from . import cluster_dp
+
+    ranked = cluster_dp.rank_orientations(p, N)
+    run = ranked[0][1]
+    terms = cluster_dp.assemble_counts(run, N, t_value=0)
+    for _work, q, counts in ranked:
+        for n, (a, b) in enumerate(zip(terms, counts)):
+            if a != b:
+                raise InconsistentResult(
+                    f"avoidance count a_{n} = {a} on {permcore.format_pattern(run)}, "
+                    f"{b} on {permcore.format_pattern(q)}")
+    return terms
 
 
 def _check_initial_terms(patterns: Sequence[tuple[int, ...]], terms: Sequence[int]) -> None:
@@ -188,6 +221,7 @@ def tracked_series(track: Sequence[Sequence[int]], avoid: Sequence[Sequence[int]
     elif engine == "brute":
         _check_brute_depth(N, cap)
         from . import positive_dp
+        from .weightring import PatternAssignment
 
         assignment = positive_dp.build_assignment(avoid=avoid, track=track)
         if not isinstance(assignment, PatternAssignment):
@@ -258,6 +292,7 @@ def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
     engine.  Discrepancies are report content, never exceptions.
     """
     from . import cluster_dp, positive_dp
+    from .weightring import PatternAssignment, term_text
 
     patterns = tuple(tuple(p) for p in patterns)
     texts = tuple(permcore.format_pattern(p) for p in patterns)
@@ -305,8 +340,9 @@ def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:
     """Rank the symmetry classes of length-k patterns by avoider count.
 
     One row per class, sorted by the count at size N descending; each row
-    carries the class members, the representative that actually ran, the
-    count, and a growth estimate.
+    carries the class members, the lexicographically smallest as the
+    representative, the counts and a growth estimate.  Each class runs on
+    its cheapest member, checked against the others (`_cluster_avoidance`).
     """
     if k not in DEFAULT_DEPTH:
         raise ValueError(f"hit parade supports lengths {sorted(DEFAULT_DEPTH)}")
@@ -322,7 +358,7 @@ def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:
         members = permcore.symmetry_class(p)
         seen.update(members)
         rep = cluster_dp.choose_representative(p)
-        terms = cluster_dp.assemble_counts(rep, N, t_value=0)
+        terms = _cluster_avoidance(rep, N)
         _check_initial_terms((rep,), terms)
         growth = growth_estimate(terms).estimate if N >= 10 else None
         rows.append(SeriesReport(

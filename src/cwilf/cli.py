@@ -9,7 +9,9 @@ Exit codes: 0 success, 2 usage or parse error, 3 brute-force cap exceeded,
 polynomial that fails its P_n(1) = n! check, an avoidance series whose
 first terms are not n! (n < k) and k! - |set| (n = k), or a tracked series
 with nothing forbidden whose P_n(1) is not n! or whose first moment in a
-tracked pattern of length m is not (n-m+1) n!/m!, 130 interrupted (Ctrl-C).
+tracked pattern of length m is not (n-m+1) n!/m!, or two members of a
+pattern's symmetry class that disagree on its avoidance counts, 130
+interrupted (Ctrl-C), 141 stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -21,19 +23,21 @@ import sys
 from collections.abc import Sequence
 
 from . import analysis, permcore
-from .weightring import InconsistentResult, WeightPoly, term_text
+from .permcore import InconsistentResult
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INCONSISTENT = 4
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 
 
-def _add_common(sub, engine=False, strict=False):
+def _add_common(sub, engine=False, strict=False, cap=False):
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--cap", type=int, default=None,
-                     help="brute-force size cap (default 10, or $CWILF_CAP)")
+    if cap:
+        sub.add_argument("--cap", type=int, default=None,
+                         help="brute-force size cap (default 10, or $CWILF_CAP)")
     if engine:
         sub.add_argument("--engine", choices=("auto", "positive", "cluster", "brute"),
                          default="auto")
@@ -53,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--avoid", default="", help="semicolon-separated patterns to forbid")
     count.add_argument("--track", default="", help="semicolon-separated patterns to track")
     count.add_argument("--n", type=int, required=True, help="largest size to report")
-    _add_common(count, engine=True)
+    _add_common(count, engine=True, cap=True)
 
     clusters = sub.add_parser("clusters", help="cluster weight enumerators C_n(t)")
     clusters.add_argument("pattern")
@@ -66,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     crosscheck.add_argument("--all-s3", action="store_true",
                             help="check every length-3 pattern separately")
     crosscheck.add_argument("--n", type=int, required=True)
-    _add_common(crosscheck, strict=True)
+    _add_common(crosscheck, strict=True, cap=True)
 
     parade = sub.add_parser("hitparade", help="rank symmetry classes by avoider count")
     parade.add_argument("k", type=int, nargs="?", default=None)
@@ -78,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     growth = sub.add_parser("growth", help="asymptotic growth estimate for one pattern")
     growth.add_argument("pattern")
     growth.add_argument("--n", type=int, required=True)
-    _add_common(growth)
+    _add_common(growth, cap=True)
 
     return parser
 
@@ -110,9 +114,8 @@ def _emit_json(obj) -> None:
 
 
 def _series_text(terms) -> str:
-    texts = [term_text(t) for t in terms]
-    polynomial = any(isinstance(t, WeightPoly) and not t.is_constant() for t in terms)
-    return "; ".join(texts) if polynomial else ",".join(texts)
+    polynomial = any(not isinstance(t, int) and not t.is_constant() for t in terms)
+    return ("; " if polynomial else ",").join(analysis.term_texts(terms))
 
 
 def _cmd_count(args) -> int:
@@ -139,6 +142,7 @@ def _cmd_clusters(args) -> int:
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     from . import cluster_dp
+    from .weightring import term_text
 
     terms = cluster_dp.cluster_polys(p, args.n)
     if args.format == "json":
@@ -241,7 +245,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can be written; send the rest of the buffer nowhere so
+        # the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except permcore.OracleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -28,7 +28,15 @@ most n!, so it is decoded from t = 2^B with B = bitlen(N!)+1; C_n(u) has
 nonnegative coefficients of at most n!*2^(n-k+1) (a permutation with its
 marked subset of at most n-k+1 occurrences), so it is decoded from u = 2^B
 with B = bitlen(N!)+N-k+2.  The table functions still accept `WeightPoly`
-weights, which the tests use as a reference.
+weights, which the tests use as a reference.  Only the functions that
+build polynomials import the weight ring, so an avoidance series never
+loads it.
+
+Every member of a pattern's symmetry class has the same cluster numbers,
+but not the same tables: to n=200, 1423's tables hold 323,494 states and
+take 134 times the `_spread` work of 3241's 19,495.  `rank_orientations`
+probes each member at a shallow depth and orders them by the work their
+tables took.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ from .permcore import (
     reduction,
     symmetry_class,
 )
-from .weightring import WeightPoly, compose_shift, packing_layout, unpack
 
 
 def _check_pattern(p: Sequence[int]) -> tuple[int, ...]:
@@ -187,7 +194,7 @@ def _key_plan(p: tuple[int, ...], m: int):
     return min(plans, key=lambda plan: plan[0])[1]
 
 
-def _spread(src: dict, plan, n: int) -> dict:
+def _spread(src: dict, plan, n: int, work: list | None = None) -> dict:
     """Key weights at length n reached from table `src` through one
     overlap (`_key_plan`), before the new atom's factor u.
 
@@ -197,17 +204,20 @@ def _spread(src: dict, plan, n: int) -> dict:
     placements (key values so far, last value, shared values ahead); the
     first ones merge src onto the shared values.  At a fresh key value v,
     summing E(w) C(v - w - 1, gap) over the last value w is a (gap+1)-fold
-    running sum: one pass over v per group.
+    running sum: one pass over v per group.  With `work`, work[0] grows by
+    the partial placements of each step plus gap+1 per pass of a running
+    sum, which is what `rank_orientations` compares.
     """
     shared, steps, order, mirrored = plan
     origin, sign = (n + 1, -1) if mirrored else (0, 1)
     layer: dict = {}
     for key, w in src.items():
-        state = ((), 0, tuple(origin + sign * (key[i] + b) for i, b in shared) + (n + 1,))
+        state = ((), 0, tuple([origin + sign * (key[i] + b) for i, b in shared] + [n + 1]))
         prev = layer.get(state)
         layer[state] = w if prev is None else prev + w
     for gap, is_shared, in_key, dist in steps:
         nxt: dict = {}
+        passes = 0
         if is_shared:
             # always room below a shared value: fresh values stay dist short
             # of it, and bumps count the fresh ranks between shared ones
@@ -224,8 +234,10 @@ def _spread(src: dict, plan, n: int) -> dict:
             for (vals, ahead), entries in groups.items():
                 entries.sort()
                 sums = [0] * (gap + 1)  # sums[j] = sum over w < v of E(w) C(v-w-1, j)
-                i, start = 0, entries[0][0]
-                for v in range(start, ahead[0] - dist + 1):
+                i, start, stop = 0, entries[0][0], ahead[0] - dist + 1
+                if stop > start:
+                    passes += stop - start
+                for v in range(start, stop):
                     if v > start + gap:
                         nxt[(vals + (v,), v, ahead)] = sums[gap]
                     for j in range(gap, 0, -1):
@@ -233,11 +245,16 @@ def _spread(src: dict, plan, n: int) -> dict:
                     if i < len(entries) and entries[i][0] == v:
                         sums[0] = sums[0] + entries[i][1]
                         i += 1
+        if work is not None:
+            work[0] += len(layer) + passes * (gap + 1)
         layer = nxt
-    return {tuple(origin + sign * vals[i] for i in order): w for (vals, _, _), w in layer.items()}
+    if not mirrored and order == tuple(range(len(order))):
+        return {vals: w for (vals, _, _), w in layer.items()}
+    return {tuple([origin + sign * vals[i] for i in order]): w for (vals, _, _), w in layer.items()}
 
 
-def cluster_tables(p: Sequence[int], N: int, u) -> Iterator[tuple[int, dict]]:
+def cluster_tables(p: Sequence[int], N: int, u,
+                   work: list | None = None) -> Iterator[tuple[int, dict]]:
     """Yield (n, table) for n = k..N; tables map key values to weights.
 
     The key is the values of the last atom's last M = max(overlap_set(p))
@@ -248,7 +265,7 @@ def cluster_tables(p: Sequence[int], N: int, u) -> Iterator[tuple[int, dict]]:
     older tables are discarded.  A source table is first marginalized onto
     its last m key entries, which the new atom shares; these then spread
     over the new key's fresh values, weighted by the binomial count of the
-    ranks left unspecified (`_spread`).
+    ranks left unspecified (`_spread`, which adds its work to `work`).
     """
     p = _check_pattern(p)
     k = len(p)
@@ -264,7 +281,7 @@ def cluster_tables(p: Sequence[int], N: int, u) -> Iterator[tuple[int, dict]]:
                 src = recent.get(n - (k - m))
                 if not src:
                     continue
-                for key, w in _spread(src, _key_plan(p, m), n).items():
+                for key, w in _spread(src, _key_plan(p, m), n, work).items():
                     add = w * u
                     prev = table.get(key)
                     table[key] = add if prev is None else prev + add
@@ -275,6 +292,8 @@ def cluster_tables(p: Sequence[int], N: int, u) -> Iterator[tuple[int, dict]]:
 
 def cluster_polys_shifted(p: Sequence[int], N: int) -> list[WeightPoly]:
     """C_0..C_N as polynomials in the shifted variable u = t - 1."""
+    from .weightring import WeightPoly, packing_layout, unpack
+
     p = _check_pattern(p)
     atoms = max(N - len(p) + 1, 0)
     layout = packing_layout(1, math.factorial(N) << atoms, atoms)
@@ -286,6 +305,8 @@ def cluster_polys_shifted(p: Sequence[int], N: int) -> list[WeightPoly]:
 
 def cluster_polys(p: Sequence[int], N: int) -> list[WeightPoly]:
     """C_0(t)..C_N(t): cluster weight enumerators in the plain t basis."""
+    from .weightring import compose_shift
+
     return [compose_shift(c, -1) for c in cluster_polys_shifted(p, N)]
 
 
@@ -329,14 +350,19 @@ def assemble_counts(p: Sequence[int], N: int, t_value=None) -> list:
     t = 2^B and each term is decoded, with P_n(1) = n! checked.
     """
     p = _check_pattern(p)
-    k = len(p)
-    layout = None
-    if t_value is None:
-        layout = packing_layout(1, math.factorial(N), max(N - k + 1, 0))
-        t_value = layout.variable(0)
-    C = cluster_values(p, N, t_value)
+    if t_value is not None:
+        return _chop(cluster_values(p, N, t_value), len(p))
+    from .weightring import packing_layout, unpack
+
+    layout = packing_layout(1, math.factorial(N), max(N - len(p) + 1, 0))
+    terms = _chop(cluster_values(p, N, layout.variable(0)), len(p))
+    return [unpack(v, layout, math.factorial(n)) for n, v in enumerate(terms)]
+
+
+def _chop(C: Sequence, k: int) -> list:
+    """P_0..P_N at one value of t from C_0..C_N there: the chopping recurrence."""
     terms = [1]
-    for n in range(1, N + 1):
+    for n in range(1, len(C)):
         val = n * terms[n - 1]
         row = binomial_row(n)
         for r in range(k, n + 1):
@@ -344,14 +370,14 @@ def assemble_counts(p: Sequence[int], N: int, t_value=None) -> list:
             if c:
                 val = val + row[r] * (terms[n - r] * c)
         terms.append(val)
-    if layout is not None:
-        return [unpack(v, layout, math.factorial(n)) for n, v in enumerate(terms)]
     return terms
 
 
 # -- identity checks -----------------------------------------------------------
 
 def _t_coeffs(w) -> dict[int, int]:
+    from .weightring import WeightPoly
+
     if isinstance(w, WeightPoly):
         if w.nvars == 0:
             v = w.constant_value()
@@ -410,6 +436,8 @@ def egf_identity_check(P: Sequence, C: Sequence, N: int) -> EgfReport:
 
 
 def _negate_var(poly: WeightPoly) -> WeightPoly:
+    from .weightring import WeightPoly
+
     return WeightPoly(1, {e: (-c if e[0] % 2 else c) for e, c in poly.items()})
 
 
@@ -454,6 +482,8 @@ def verify_321_equation(N: int) -> Report321:
     """
     if N < 5:
         raise ValueError("N must be at least 5")
+    from .weightring import WeightPoly
+
     u = WeightPoly.variable(0, 1)
     zero = WeightPoly.zero(1)
     g = [zero, zero]
@@ -488,16 +518,51 @@ def verify_321_equation(N: int) -> Report321:
     return report
 
 
-# -- symmetry representative ----------------------------------------------------
+# -- symmetry representative and orientation ------------------------------------
 
 def choose_representative(p: Sequence[int]) -> tuple[int, ...]:
     """The lexicographically smallest member of p's symmetry class.
 
-    Counts are identical across the class, so any member could run; the
-    overlap set is the same for every member (reverse and complement
-    preserve it), so it cannot pick a cheaper one.
+    This is the class label reports carry.  The member that runs is
+    `choose_orientation`'s: counts are identical across the class, but the
+    work is not.  The overlap set is the same for every member (reverse
+    and complement preserve it), so it cannot rank them.
     """
     return min(symmetry_class(_check_pattern(p)))
+
+
+def rank_orientations(p: Sequence[int], N: int) -> list[tuple]:
+    """Every member q of p's symmetry class as (work, q, counts), cheapest
+    to run first.
+
+    Each member's tables are built to d = min(N, 2k+3) at t = 0; work
+    counts what `_spread` did for them, layer entries and running-sum
+    passes alike, and counts holds the avoidance counts a_0..a_d they give.
+    Table sizes alone would tie 2314 with 3241, which takes 21 times less
+    work to n=200.  Deeper probes rank the classes of length 4-6 little
+    better, and at length 6 they cost more than the better order saves.
+
+    Ties in work go to the lexicographically smaller member, so the order
+    is the same on every run.  All members must give the same counts;
+    callers compare them.
+    """
+    p = _check_pattern(p)
+    k = len(p)
+    depth = min(N, 2 * k + 3)
+    ranked = []
+    for q in symmetry_class(p):
+        work = [0]
+        clusters = [0] * (depth + 1)
+        for n, table in cluster_tables(q, depth, -1, work):
+            clusters[n] = sum(table.values())
+        ranked.append((work[0], q, _chop(clusters, k)))
+    return sorted(ranked)
+
+
+def choose_orientation(p: Sequence[int], N: int) -> tuple[int, ...]:
+    """The member of p's symmetry class to run to size N: the cheapest by
+    `rank_orientations`' probe, no timing involved."""
+    return rank_orientations(p, N)[0][1]
 
 
 # -- ending-cluster decomposition -----------------------------------------------

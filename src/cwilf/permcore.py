@@ -7,7 +7,9 @@ aligned with the usual combinatorial conventions.
 The two enumerators at the bottom (`brute_weight_enum`, `brute_cluster_enum`)
 are deliberately naive: they exist to validate the polynomial-time engines,
 so they must stay independent of them.  Both refuse sizes above a cap rather
-than silently running for hours.
+than silently running for hours, and both import the weight ring where they
+run: the exceptions the command line maps to exit codes live here, so a
+route that counts on plain integers never loads it.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 
-from .weightring import PatternAssignment, WeightPoly, as_weight_poly
-
 DEFAULT_PERM_CAP = 10
 DEFAULT_CLUSTER_CAP = 9
 
 
 class OracleLimitError(RuntimeError):
     """Raised when a brute-force size exceeds the configured cap."""
+
+
+class InconsistentResult(ArithmeticError):
+    """A computed result failed an exact check it must satisfy."""
 
 
 def reduction(values: Sequence) -> tuple[int, ...]:
@@ -174,6 +178,8 @@ def brute_weight_enum(n: int, k: int, assignment: PatternAssignment,
     The oracle for the incremental engines: every window of every
     permutation contributes its pattern's factor.
     """
+    from .weightring import as_weight_poly
+
     if k < 2:
         raise ValueError("window length must be at least 2")
     if assignment.k != k:
@@ -295,6 +301,8 @@ def iter_cluster_witnesses(n: int, p: Sequence[int]) -> Iterator[ClusterWitness]
 
 def brute_cluster_enum(n: int, p: Sequence[int], cap: int | None = None) -> WeightPoly:
     """Weight enumerator of length-n clusters, (t-1) per atom, in the t basis."""
+    from .weightring import WeightPoly
+
     cap = DEFAULT_CLUSTER_CAP if cap is None else cap
     if n > cap:
         raise OracleLimitError(f"oracle limit: n={n} exceeds cap {cap}")

@@ -28,6 +28,8 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
+from .permcore import InconsistentResult  # re-exported: PackingOverflow is one
+
 
 class WeightPoly:
     """Immutable sparse polynomial with integer coefficients.
@@ -272,10 +274,6 @@ def compose_shift(poly: WeightPoly, offset: int) -> WeightPoly:
     for d in range(max(coeffs), -1, -1):
         result = result * x_plus + coeffs.get(d, 0)
     return result
-
-
-class InconsistentResult(ArithmeticError):
-    """A computed result failed an exact check it must satisfy."""
 
 
 class PackingOverflow(InconsistentResult):

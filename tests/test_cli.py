@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cwilf import analysis, cli, cluster_dp, positive_dp
+from cwilf import analysis, cli, cluster_dp, positive_dp, weightring
 from cwilf.weightring import Packing, WeightPoly
 
 
@@ -179,7 +179,7 @@ def test_undersized_packing_exits_4(monkeypatch, engine):
     def undersized(nvars, coeff_bound, degree_bound):
         return Packing(nvars, coeff_bound.bit_length() // 2, degree_bound + 1)
 
-    monkeypatch.setattr(cluster_dp, "packing_layout", undersized)
+    monkeypatch.setattr(weightring, "packing_layout", undersized)
     monkeypatch.setattr(positive_dp, "packing_layout", undersized)
     code, out, err = run_cli(["count", "--track", "123", "--n", "12",
                               "--engine", engine])
@@ -278,6 +278,94 @@ def test_count_loads_only_the_engine_it_runs(argv, engine, unused):
     loaded = _modules_loaded_by(f"from cwilf.cli import main; main({argv!r})")
     assert engine in loaded
     assert unused not in loaded
+
+
+def test_startup_leaves_the_weight_ring_unloaded():
+    assert "cwilf.weightring" not in _modules_loaded_by(
+        "import cwilf.cli as cli; cli.build_parser()")
+
+
+@pytest.mark.parametrize("argv, ring", [
+    (["count", "--avoid", "132", "--n", "20"], False),
+    (["growth", "123", "--n", "30"], False),
+    (["hitparade", "3", "--n", "10"], False),
+    (["count", "--track", "123", "--n", "8"], True),
+])
+def test_only_polynomial_routes_load_the_weight_ring(argv, ring):
+    loaded = _modules_loaded_by(f"from cwilf.cli import main; main({argv!r})")
+    assert ("cwilf.weightring" in loaded) == ring
+
+
+def test_corrupt_orientation_that_runs_exits_4(monkeypatch):
+    # a wrong C_4 on the member that runs leaves a_0..a_3 intact, so only
+    # the comparison with the other members' probes sees it
+    run = cluster_dp.choose_orientation((1, 3, 2), 20)
+    assert run != (1, 3, 2)
+    honest = cluster_dp.cluster_values
+
+    def corrupted(p, N, t_value):
+        values = honest(p, N, t_value)
+        if tuple(p) == run:
+            values[4] += 1
+        return values
+
+    monkeypatch.setattr(cluster_dp, "cluster_values", corrupted)
+    code, out, err = run_cli(["count", "--avoid", "132", "--n", "20"])
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: avoidance count a_4")
+
+
+def test_corrupt_orientation_that_only_probes_exits_4(monkeypatch):
+    # one wrong table at n=5 of the lex-min member, which does not run
+    honest = cluster_dp.cluster_tables
+
+    def corrupted(p, N, u, work=None):
+        for n, table in honest(p, N, u, work):
+            if tuple(p) == (1, 3, 2) and n == 5:
+                key = next(iter(table))
+                table = {**table, key: table[key] + 1}
+            yield n, table
+
+    monkeypatch.setattr(cluster_dp, "cluster_tables", corrupted)
+    for argv in (["count", "--avoid", "231", "--n", "20"], ["hitparade", "3", "--n", "20"]):
+        code, out, err = run_cli(argv)
+        assert code == cli.EXIT_INCONSISTENT
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.endswith(" on 132\n")
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    try:
+        done = subprocess.run([sys.executable, "-m", "cwilf", "hitparade", "4", "--n", "12"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hitparade", "3", "--n", "5", "--cap", "-1"],
+    ["clusters", "123", "--n", "3", "--cap", "5"],
+])
+def test_cap_is_refused_where_nothing_reads_it(argv):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--avoid", "123", "--n", "3", "--cap", "3"],
+    ["crosscheck", "123", "--n", "3", "--cap", "3"],
+    ["growth", "123", "--n", "12", "--cap", "3"],
+])
+def test_cap_is_accepted_where_it_is_read(argv):
+    assert run_cli(argv)[0] == 0
 
 
 def test_interrupt_exits_130_without_traceback(monkeypatch):

@@ -350,6 +350,33 @@ def test_representative_is_the_lex_min_class_member():
             assert {overlap_set(q) for q in members} == {overlap_set(p)}
 
 
+@pytest.mark.parametrize("k, N", [(3, 30), (4, 20), (5, 14), (6, 12)])
+def test_chosen_orientation_counts_like_the_representative(k, N):
+    seen = set()
+    for p in all_patterns(k):
+        if p in seen:
+            continue
+        members = permcore.symmetry_class(p)
+        seen.update(members)
+        run = cluster_dp.choose_orientation(p, N)
+        assert run in members
+        assert all(cluster_dp.choose_orientation(q, N) == run for q in members)
+        assert assemble_counts(run, N, t_value=0) == assemble_counts(min(members), N, t_value=0)
+
+
+def test_orientations_rank_by_spread_work():
+    # 2314's tables are the size of 3241's but take 21 times the work to n=200
+    ranked = cluster_dp.rank_orientations((1, 4, 2, 3), 200)
+    assert ranked[0][1] == (3, 2, 4, 1)
+    assert ranked == sorted(ranked)  # by work, then member
+    assert [q for _w, q, _c in sorted(ranked, key=lambda r: r[1])] == list(
+        permcore.symmetry_class((1, 4, 2, 3)))
+    assert all(counts == ranked[0][2] for _w, _q, counts in ranked)
+    assert ranked[0][2] == assemble_counts((1, 4, 2, 3), 2 * 4 + 3, t_value=0)
+    # a shallow run probes no deeper than it counts
+    assert all(len(counts) == 6 for _w, _q, counts in cluster_dp.rank_orientations((1, 3, 2), 5))
+
+
 def test_split_ending_cluster_worked_example():
     pi = (1, 5, 7, 4, 2, 3, 6, 8, 9)
     remainder, rest, ending = split_ending_cluster(pi, (1, 5, 6, 7), (1, 2, 3))
