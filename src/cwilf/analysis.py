@@ -1,9 +1,12 @@
-"""Cross-method validation, growth estimation, and pattern ranking.
+"""Series routing, cross-method validation, growth estimation, and ranking.
 
-The counting engines are exact; this module compares them against each
-other and against the brute-force oracles, estimates asymptotic growth from
-term ratios, and ranks the patterns of a given length by how many
-permutations avoid them.  Floats appear here and nowhere else.  Each route
+One router, `_series`, serves `count`, `growth` and `hitparade`: it alone
+picks the engine, the class label, the member list and the member that
+runs, guards the brute-force depth and runs the runtime checks.  The
+counting engines are exact; this module compares them against each other
+and against the brute-force oracles, estimates asymptotic growth from term
+ratios, and ranks the patterns of a given length by how many permutations
+avoid them.  Floats appear here and nowhere else.  Each route
 imports the engine it runs where it runs it, so a process that counts with
 one engine never loads the other, and only the routes that build
 polynomials (tracking, brute force, cross-checks) load the weight ring.
@@ -84,91 +87,107 @@ def growth_estimate(counts: Sequence[int]) -> GrowthEstimate:
     return GrowthEstimate(float(refined), [float(r) for r in ratios[-5:]])
 
 
-def _int_terms(series: Sequence) -> list[int]:
-    return [w if isinstance(w, int) else w.constant_value() for w in series]
-
-
-def _check_brute_depth(N: int, cap: int | None) -> None:
-    # refuse before burning minutes on the sizes below the cap
-    limit = permcore.DEFAULT_PERM_CAP if cap is None else cap
-    if N > limit:
-        raise permcore.OracleLimitError(f"oracle limit: n={N} exceeds cap {limit}")
-
-
 def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
                      engine: str = "auto", cap: int | None = None) -> SeriesReport:
-    """Avoidance counts for sizes 0..N, with the engine recorded.
+    """Avoidance counts for sizes 0..N, with the engine recorded (`_series`)."""
+    return _series(patterns, (), N, engine, cap)
 
-    auto routes single patterns to the cluster engine and pattern sets to
-    the positive engine; brute is only used when asked.  The cluster engine
-    runs the symmetry-class member that `cluster_dp.rank_orientations`
-    finds cheapest, with t specialized to 0 up front, and checks it against
-    the other members (`_cluster_avoidance`); the report names the
-    lexicographically smallest member as the representative either way.
-    The terms below and at the shortest pattern length are checked against
-    their closed form before returning (`InconsistentResult` on a mismatch).
+
+def tracked_series(track: Sequence[Sequence[int]], avoid: Sequence[Sequence[int]] = (),
+                   N: int = 0, engine: str = "auto", cap: int | None = None) -> SeriesReport:
+    """Occurrence-tracking series: polynomial terms in the tracked variables
+    (`_series`)."""
+    if not track:
+        raise ValueError("nothing tracked")
+    return _series(avoid, track, N, engine, cap)
+
+
+def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: int,
+            engine: str = "auto", cap: int | None = None) -> SeriesReport:
+    """The one route from a query to its report: engine, label, members, checks.
+
+    auto sends a single pattern, avoided or tracked, to the cluster engine
+    and a set to the positive engine; with no pattern the terms are n!.
+    brute runs only when asked and refuses an N above the cap up front.
+    The cluster engine runs the cheapest member of the pattern's symmetry
+    class, checked against the others (`_cluster_terms`), and reports the
+    lexicographically smallest member as the representative.  A single
+    avoided pattern lists its whole class on every engine, a tracked one
+    only on the cluster engine; otherwise the patterns stand for themselves.
+
+    Avoidance terms are integers whose terms below and at the shortest
+    pattern length must match their closed form; tracked terms are
+    polynomials whose values at 1 and first moments must match theirs when
+    nothing is forbidden (`InconsistentResult` on a mismatch).
     """
-    patterns = tuple(tuple(p) for p in patterns)
-    pattern_text = ";".join(permcore.format_pattern(p) for p in patterns)
-    if engine == "auto":
-        engine = "factorial" if not patterns else ("cluster" if len(patterns) == 1 else "positive")
-    if engine == "factorial" or not patterns:
+    avoid = tuple(tuple(p) for p in avoid)
+    track = tuple(tuple(p) for p in track)
+    patterns = track + avoid
+    text = ";".join(permcore.format_pattern(p) for p in patterns)
+    if not patterns:
         terms = [1]
         for n in range(1, N + 1):
             terms.append(terms[-1] * n)
-        return SeriesReport(pattern_text, pattern_text, (), "factorial", terms)
-    members = tuple(permcore.format_pattern(q) for q in
-                    (permcore.symmetry_class(patterns[0]) if len(patterns) == 1 else patterns))
+        return SeriesReport(text, text, (), "factorial", terms)
+    single = len(patterns) == 1
+    if engine == "auto":
+        engine = "cluster" if single else "positive"
+    members = (permcore.symmetry_class(patterns[0])
+               if single and (engine == "cluster" or not track) else patterns)
+    rep = text
     if engine == "cluster":
-        if len(patterns) != 1:
-            raise ValueError("cluster engine handles a single pattern")
+        if not single:
+            raise ValueError("cluster engine tracks a single pattern" if track
+                             else "cluster engine handles a single pattern")
         from . import cluster_dp
 
-        rep = cluster_dp.choose_representative(patterns[0])
-        report = SeriesReport(pattern_text, permcore.format_pattern(rep), members,
-                              "cluster", _cluster_avoidance(patterns[0], N))
+        rep = permcore.format_pattern(cluster_dp.choose_representative(patterns[0]))
+        terms = _cluster_terms(patterns[0], N, bool(track))
     elif engine == "positive":
         from . import positive_dp
 
-        series = positive_dp.enumerate_for_patterns(avoid=patterns, N=N)
-        report = SeriesReport(pattern_text, pattern_text, members,
-                              "positive", _int_terms(series))
+        terms = positive_dp.enumerate_for_patterns(avoid=avoid, track=track, N=N)
     elif engine == "brute":
-        _check_brute_depth(N, cap)
-        lengths = {len(p) for p in patterns}
-        terms = []
-        if len(lengths) == 1:
+        limit = permcore.DEFAULT_PERM_CAP if cap is None else cap
+        if N > limit:  # refuse before burning minutes on the sizes below the cap
+            raise permcore.OracleLimitError(f"oracle limit: n={N} exceeds cap {limit}")
+        if len({len(p) for p in patterns}) == 1:
             from .weightring import PatternAssignment
 
-            assignment = PatternAssignment.avoiding(patterns)
-            for n in range(N + 1):
-                terms.append(permcore.brute_weight_enum(n, assignment.k, assignment,
-                                                        cap=cap).constant_value())
+            assignment = PatternAssignment(len(patterns[0]), zero=avoid, tracked=track)
+            terms = [permcore.brute_weight_enum(n, assignment.k, assignment, cap=cap)
+                     for n in range(N + 1)]
+        elif track:
+            raise ValueError("brute tracking needs patterns of one length")
         else:
-            for n in range(N + 1):
-                terms.append(permcore.brute_avoider_count(patterns, n, cap=cap))
-        report = SeriesReport(pattern_text, pattern_text, members, "brute", terms)
+            terms = [permcore.brute_avoider_count(avoid, n, cap=cap) for n in range(N + 1)]
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    _check_initial_terms(patterns, report.terms)
-    return report
+    if not track:
+        terms = [w if isinstance(w, int) else w.constant_value() for w in terms]
+        _check_initial_terms(avoid, terms)
+    elif not avoid:
+        _check_first_moments(track, terms)
+    return SeriesReport(text, rep, tuple(map(permcore.format_pattern, members)), engine, terms)
 
 
-def _cluster_avoidance(p: tuple[int, ...], N: int) -> list[int]:
-    """Avoidance counts of one pattern to size N on its cheapest orientation.
+def _cluster_terms(p: tuple[int, ...], N: int, tracked: bool) -> list:
+    """The series of one pattern to size N on its cheapest orientation:
+    polynomials if tracked, else the counts at t = 0.
 
     Every member of the class is probed (`cluster_dp.rank_orientations`),
-    and the run's first terms must equal each member's probe counts: the
-    other members build different tables, so a fault in the tables of one
-    shows as a mismatch (`InconsistentResult`).
+    and the run's values at t = 0 must equal each member's probe counts:
+    the other members build different tables, so a fault in the tables of
+    one shows as a mismatch (`InconsistentResult`).
     """
     from . import cluster_dp
 
     ranked = cluster_dp.rank_orientations(p, N)
     run = ranked[0][1]
-    terms = cluster_dp.assemble_counts(run, N, t_value=0)
+    terms = cluster_dp.assemble_counts(run, N, None if tracked else 0)
+    at_zero = [w.coefficient((0,)) for w in terms] if tracked else terms
     for _work, q, counts in ranked:
-        for n, (a, b) in enumerate(zip(terms, counts)):
+        for n, (a, b) in enumerate(zip(at_zero, counts)):
             if a != b:
                 raise InconsistentResult(
                     f"avoidance count a_{n} = {a} on {permcore.format_pattern(run)}, "
@@ -185,55 +204,6 @@ def _check_initial_terms(patterns: Sequence[tuple[int, ...]], terms: Sequence[in
         expected = fact - (n == k) * len({p for p in patterns if len(p) == k})
         if a != expected:
             raise InconsistentResult(f"avoidance count a_{n} = {a}, expected {expected}")
-
-
-def tracked_series(track: Sequence[Sequence[int]], avoid: Sequence[Sequence[int]] = (),
-                   N: int = 0, engine: str = "auto", cap: int | None = None) -> SeriesReport:
-    """Occurrence-tracking series: polynomial terms in the tracked variables.
-
-    With nothing forbidden, every term's value at 1 and first moments are
-    checked against their closed forms before returning
-    (`InconsistentResult` on a mismatch).
-    """
-    track = tuple(tuple(p) for p in track)
-    avoid = tuple(tuple(p) for p in avoid)
-    if not track:
-        raise ValueError("nothing tracked")
-    pattern_text = ";".join(permcore.format_pattern(p) for p in track + avoid)
-    members = tuple(permcore.format_pattern(p) for p in track + avoid)
-    if engine == "auto":
-        engine = "cluster" if (len(track) == 1 and not avoid) else "positive"
-    if engine == "cluster":
-        if len(track) != 1 or avoid:
-            raise ValueError("cluster engine tracks a single pattern")
-        from . import cluster_dp
-
-        members = tuple(permcore.format_pattern(q) for q in permcore.symmetry_class(track[0]))
-        rep = cluster_dp.choose_representative(track[0])
-        terms = cluster_dp.assemble_counts(rep, N)
-        report = SeriesReport(pattern_text, permcore.format_pattern(rep), members,
-                              "cluster", terms)
-    elif engine == "positive":
-        from . import positive_dp
-
-        series = positive_dp.enumerate_for_patterns(avoid=avoid, track=track, N=N)
-        report = SeriesReport(pattern_text, pattern_text, members, "positive", series)
-    elif engine == "brute":
-        _check_brute_depth(N, cap)
-        from . import positive_dp
-        from .weightring import PatternAssignment
-
-        assignment = positive_dp.build_assignment(avoid=avoid, track=track)
-        if not isinstance(assignment, PatternAssignment):
-            raise ValueError("brute tracking needs patterns of one length")
-        terms = [permcore.brute_weight_enum(n, assignment.k, assignment, cap=cap)
-                 for n in range(N + 1)]
-        report = SeriesReport(pattern_text, pattern_text, members, "brute", terms)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    if not avoid:
-        _check_first_moments(track, report.terms)
-    return report
 
 
 def _check_first_moments(track: Sequence[tuple[int, ...]], terms: Sequence[WeightPoly]) -> None:
@@ -321,8 +291,7 @@ def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
     else:
         columns["brute"] = [permcore.brute_avoider_count(patterns, n, cap=cap)
                             for n in range(n_max + 1)]
-        columns["positive"] = _int_terms(
-            positive_dp.enumerate_for_patterns(avoid=patterns, N=n_max))
+        columns["positive"] = positive_dp.enumerate_for_patterns(avoid=patterns, N=n_max)
     methods = tuple(columns)
     rows = []
     discrepancies = []
@@ -342,33 +311,21 @@ def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:
     One row per class, sorted by the count at size N descending; each row
     carries the class members, the lexicographically smallest as the
     representative, the counts and a growth estimate.  Each class runs on
-    its cheapest member, checked against the others (`_cluster_avoidance`).
+    its cheapest member, checked against the others (`_series`).
     """
     if k not in DEFAULT_DEPTH:
         raise ValueError(f"hit parade supports lengths {sorted(DEFAULT_DEPTH)}")
     if N is None:
         N = DEFAULT_DEPTH[k]
-    from . import cluster_dp
-
     seen = set()
     rows = []
     for p in permcore.all_patterns(k):
-        if p in seen:
+        if permcore.format_pattern(p) in seen:
             continue
-        members = permcore.symmetry_class(p)
-        seen.update(members)
-        rep = cluster_dp.choose_representative(p)
-        terms = _cluster_avoidance(rep, N)
-        _check_initial_terms((rep,), terms)
-        growth = growth_estimate(terms).estimate if N >= 10 else None
-        rows.append(SeriesReport(
-            pattern=permcore.format_pattern(members[0]),
-            representative=permcore.format_pattern(rep),
-            members=tuple(permcore.format_pattern(q) for q in members),
-            method="cluster",
-            terms=terms,
-            growth=growth,
-            checks={"count_at": N},
-        ))
+        row = _series((p,), (), N, "cluster")
+        seen.update(row.members)
+        row.growth = growth_estimate(row.terms).estimate if N >= 10 else None
+        row.checks = {"count_at": N}
+        rows.append(row)
     rows.sort(key=lambda r: (-r.terms[-1], r.pattern))
     return rows

@@ -10,8 +10,10 @@ polynomial that fails its P_n(1) = n! check, an avoidance series whose
 first terms are not n! (n < k) and k! - |set| (n = k), or a tracked series
 with nothing forbidden whose P_n(1) is not n! or whose first moment in a
 tracked pattern of length m is not (n-m+1) n!/m!, or two members of a
-pattern's symmetry class that disagree on its avoidance counts, 130
-interrupted (Ctrl-C), 141 stdout closed by its reader (128 + SIGPIPE).
+pattern's symmetry class that disagree on its counts at t = 0, avoided or
+tracked, 130 interrupted (Ctrl-C), 141 stdout closed by its reader (128 +
+SIGPIPE).  `count` makes one call into the router (`analysis._series`), and
+terms of any length print: `main` lifts Python's int-to-text digit limit.
 """
 
 from __future__ import annotations
@@ -125,11 +127,7 @@ def _cmd_count(args) -> int:
         raise ValueError("a pattern cannot be both avoided and tracked")
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    cap = _resolve_cap(args)
-    if track:
-        report = analysis.tracked_series(track, avoid, args.n, engine=args.engine, cap=cap)
-    else:
-        report = analysis.avoidance_series(avoid, args.n, engine=args.engine, cap=cap)
+    report = analysis._series(avoid, track, args.n, args.engine, _resolve_cap(args))
     if args.format == "json":
         _emit_json(report.to_json_dict())
     else:
@@ -242,6 +240,8 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # print terms of any length
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
