@@ -257,9 +257,9 @@ def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
     """Run every applicable method side by side and compare exactly.
 
     Single pattern: brute, positive, and cluster, compared on the full
-    occurrence polynomials.  Same-length sets: brute and positive on
-    avoidance.  Mixed-length sets: direct scan versus the lifted positive
-    engine.  Discrepancies are report content, never exceptions.
+    occurrence polynomials.  Sets: the positive engine on avoidance against
+    the window oracle (same-length sets) or a direct scan (mixed lengths).
+    Discrepancies are report content, never exceptions.
     """
     from . import cluster_dp, positive_dp
     from .weightring import PatternAssignment, term_text
@@ -283,14 +283,14 @@ def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
                             for n in range(n_max + 1)]
         columns["positive"] = positive_dp.enumerate_series(len(p), assignment, n_max)
         columns["cluster"] = cluster_dp.assemble_counts(p, n_max)
-    elif len({len(p) for p in patterns}) == 1:
-        assignment = PatternAssignment.avoiding(patterns)
-        columns["brute"] = [permcore.brute_weight_enum(n, assignment.k, assignment, cap=cap)
-                            for n in range(n_max + 1)]
-        columns["positive"] = positive_dp.enumerate_series(assignment.k, assignment, n_max)
     else:
-        columns["brute"] = [permcore.brute_avoider_count(patterns, n, cap=cap)
-                            for n in range(n_max + 1)]
+        if len({len(p) for p in patterns}) == 1:
+            assignment = PatternAssignment.avoiding(patterns)
+            columns["brute"] = [permcore.brute_weight_enum(n, assignment.k, assignment, cap=cap)
+                                for n in range(n_max + 1)]
+        else:
+            columns["brute"] = [permcore.brute_avoider_count(patterns, n, cap=cap)
+                                for n in range(n_max + 1)]
         columns["positive"] = positive_dp.enumerate_for_patterns(avoid=patterns, N=n_max)
     methods = tuple(columns)
     rows = []

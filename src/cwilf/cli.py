@@ -146,7 +146,7 @@ def _cmd_clusters(args) -> int:
     if args.format == "json":
         report = analysis.SeriesReport(
             pattern=permcore.format_pattern(p),
-            representative=permcore.format_pattern(p),
+            representative=permcore.format_pattern(cluster_dp.choose_representative(p)),
             members=tuple(permcore.format_pattern(q) for q in permcore.symmetry_class(p)),
             method="cluster",
             terms=terms,

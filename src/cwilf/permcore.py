@@ -184,6 +184,9 @@ def brute_weight_enum(n: int, k: int, assignment: PatternAssignment,
         raise ValueError("window length must be at least 2")
     if assignment.k != k:
         raise ValueError("assignment window length mismatch")
+    if any(len(p) < k for p in itertools.chain(assignment.zero, assignment.tracked)):
+        raise ValueError("brute_weight_enum weighs windows of length k only, "
+                         "not the shorter patterns of an assignment")
     if n < 0:
         raise ValueError("n must be nonnegative")
     cap = DEFAULT_PERM_CAP if cap is None else cap

@@ -31,33 +31,33 @@ out once per run, in a plan that each table hands on to its child.  The two
 steps must agree exactly on every input.
 
 The steps are generic over the weight ring: integers, or `WeightPoly` for
-the tests and the reference runs.  `enumerate_series` runs tracked queries on
-plain integers: it packs each factor once (`PackedAssignment`) and decodes
-each term at readout.  Every cell weight is a polynomial with nonnegative
-coefficients of at most n! (it counts permutations by occurrences), and a
-tracked pattern of length m occurs at most n-m+1 times, so B = bitlen(N!)+1
-bits per coefficient and stride D = N-m+2 decode every term exactly.
-The packed width grows like D^v in the number v of tracked variables, the
-sparse polynomial only like D^v/v!, so above `PACKED_VARIABLES_MAX` tracked
-variables the table keeps `WeightPoly` weights instead.
+the tests and the reference runs.  One `PatternAssignment` supplies every
+factor.  `enumerate_series` runs tracked queries on plain integers, on the
+assignment rebuilt with packed variables (`PackedAssignment`), and
+`StateTable.total` decodes each term.  Every cell weight is a polynomial
+with nonnegative coefficients of at most n! (it counts permutations by
+occurrences), and a tracked pattern of length m occurs at most n-m+1
+times, so B = bitlen(N!)+1 bits per coefficient and stride D = N-m+2
+decode every term exactly.  The packed width grows like D^v in the number
+v of tracked variables, the sparse polynomial only like D^v/v!, so above
+`PACKED_VARIABLES_MAX` tracked variables the table keeps `WeightPoly`
+weights instead.
+
+A family of mixed pattern lengths runs on windows of its longest length k.
+An occurrence of a shorter pattern counts in the factor of the window it
+starts, or, when it lies in the last k-1 entries, in the suffix factor that
+`StateTable.weight_sum` applies per suffix order.  Sizes below k-1, where
+no state exists yet, are summed word by word (`PatternAssignment.weight`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 
-from .permcore import all_patterns, is_permutation, occurrences, reduction
-from .weightring import (
-    PatternAssignment,
-    WeightPoly,
-    as_weight_poly,
-    pack,
-    packing_layout,
-    unpack,
-)
+from .permcore import all_patterns, reduction
+from .weightring import PatternAssignment, WeightPoly, as_weight_poly, packing_layout, unpack
 
 State = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -159,8 +159,16 @@ class StateTable:
         return total
 
     def total(self, assignment) -> WeightPoly:
-        """`weight_sum` as a polynomial."""
-        return as_weight_poly(self.weight_sum(assignment), assignment.nvars)
+        """`weight_sum` as a polynomial (`_decoded`)."""
+        return _decoded(self.weight_sum(assignment), assignment, self.n)
+
+
+def _decoded(value, assignment, n: int) -> WeightPoly:
+    """A size-n weight sum as a polynomial, unpacked if the assignment is
+    packed: with nothing forbidden its coefficients must sum to n!."""
+    if assignment.layout is None:
+        return as_weight_poly(value, assignment.nvars)
+    return unpack(value, assignment.layout, None if assignment.zero else math.factorial(n))
 
 
 class _Cells(Mapping):
@@ -196,41 +204,6 @@ class _Cells(Mapping):
                 q = _suffix(orders[oi], d)
                 for x, w in dropped.items():
                     yield (q, (*s[:d], x, *s[d:])), w
-
-
-class PackedAssignment:
-    """An assignment's factors packed into plain integers, for sizes up to N.
-
-    Wraps an assignment with tracked patterns.  When every factor is 1 at
-    t = 1 (nothing is forbidden), every term must have P_n(1) = n!, which
-    catches too few bits per coefficient.
-    """
-
-    def __init__(self, assignment, N: int):
-        k = assignment.k
-        self.nvars = assignment.nvars
-        shortest = min(len(p) for p in assignment.tracked)
-        self.layout = packing_layout(self.nvars, math.factorial(N),
-                                     max(N - shortest + 1, 0))
-        factors = {p: assignment.factor(p) for p in all_patterns(k)}
-        suffix_factors = {q: assignment.suffix_factor(q) for q in all_patterns(k - 1)}
-        self.factors = {p: pack(f, self.layout) for p, f in factors.items()}
-        self.suffix_factors = {q: pack(f, self.layout) for q, f in suffix_factors.items()}
-        ones = [1] * self.nvars
-        self.conserves_mass = all(
-            as_weight_poly(f, self.nvars).evaluate(ones) == 1
-            for f in itertools.chain(factors.values(), suffix_factors.values()))
-
-    def factor(self, pattern: tuple) -> int:
-        return self.factors[pattern]
-
-    def suffix_factor(self, suffix: tuple) -> int:
-        return self.suffix_factors[suffix]
-
-    def total(self, table: StateTable) -> WeightPoly:
-        """The polynomial packed in a table's weight sum."""
-        mass = math.factorial(table.n) if self.conserves_mass else None
-        return unpack(table.weight_sum(self), self.layout, mass)
 
 
 def state_of(pi: Sequence[int], k: int) -> State:
@@ -414,149 +387,49 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
     return StateTable._from_groups(n + 1, k, groups, plan)
 
 
-def enumerate_series(k: int, assignment, N: int) -> list[WeightPoly]:
+def PackedAssignment(assignment: PatternAssignment, N: int) -> PatternAssignment:
+    """The assignment on integers: its variables packed for sizes up to N."""
+    return PatternAssignment(assignment.k, assignment.zero, assignment.tracked, packing_layout(
+        assignment.nvars, math.factorial(N), max(N - min(map(len, assignment.tracked)) + 1, 0)))
+
+
+def enumerate_series(k: int, assignment: PatternAssignment, N: int) -> list[WeightPoly]:
     """Weighted counts of S_0..S_N, one window factor per length-k window.
 
-    Sizes below k-1 carry no window at all, so their term is n!.  From size
-    k-1 on, the table evolves one append at a time and each term is the sum
-    of the live cells.  With tracked variables the table holds packed
-    integers, and each term is decoded from its sum, unless more than
-    `PACKED_VARIABLES_MAX` variables would make them outgrow the polynomials.
+    Below size k-1 each term sums its permutations' weights (n! when every
+    pattern has length k).  From size k-1 on, the table evolves one append
+    at a time and each term is the sum of the live cells.  Up to
+    `PACKED_VARIABLES_MAX` tracked variables run packed (`PackedAssignment`).
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    out = []
-    fact = 1
-    for n in range(min(N, k - 2) + 1):
-        out.append(as_weight_poly(fact, assignment.nvars))
-        fact *= n + 1
+    if 0 < assignment.nvars <= PACKED_VARIABLES_MAX:
+        assignment = PackedAssignment(assignment, N)
+    out = [_decoded(sum(map(assignment.weight, all_patterns(n))), assignment, n)
+           for n in range(min(N, k - 2) + 1)]
     if N >= k - 1:
-        if 0 < assignment.nvars <= PACKED_VARIABLES_MAX:
-            assignment = PackedAssignment(assignment, N)
-            readout = assignment.total
-        else:
-            readout = lambda table: table.total(assignment)
         table = init_table(k)
-        out.append(readout(table))
+        out.append(table.total(assignment))
         while table.n < N:
             table = step_append_aggregated(table, assignment)
-            out.append(readout(table))
+            out.append(table.total(assignment))
     return out
 
 
-# -- mixed-length pattern families --------------------------------------------
-
-class LiftedAssignment:
-    """Window factors for patterns of mixed lengths, lifted to the longest.
-
-    A shorter pattern occurs at a window start s either with s+k-1 <= n, in
-    which case it is the prefix of exactly one full-length window and its
-    factor is folded into that window's pattern, or inside the last k-1
-    entries, which `suffix_factor` charges at readout time.  Either way each
-    occurrence is counted exactly once at every size.
-    """
-
-    def __init__(self, avoid: Iterable = (), tracked: Sequence = ()):
-        self.avoid = tuple(tuple(p) for p in avoid)
-        self.tracked = tuple(tuple(p) for p in tracked)
-        pats = self.avoid + self.tracked
-        if not pats:
-            raise ValueError("no patterns to lift")
-        for p in pats:
-            if len(p) < 2 or not is_permutation(p):
-                raise ValueError(f"invalid pattern {p}")
-        if len(set(self.tracked)) != len(self.tracked):
-            raise ValueError("duplicate tracked pattern")
-        if set(self.avoid) & set(self.tracked):
-            raise ValueError("a pattern cannot be both forbidden and tracked")
-        self.k = max(len(p) for p in pats)
-        self.nvars = len(self.tracked)
-        self._vars = {p: WeightPoly.variable(i, self.nvars)
-                      for i, p in enumerate(self.tracked)}
-        self._factors: dict[tuple, object] = {}
-        self._suffix: dict[tuple, object] = {}
-
-    def factor(self, pattern: tuple):
-        f = self._factors.get(pattern)
-        if f is None:
-            f = 1
-            for p in self.avoid:
-                if reduction(pattern[:len(p)]) == p:
-                    f = 0
-                    break
-            else:
-                for p in self.tracked:
-                    if reduction(pattern[:len(p)]) == p:
-                        f = f * self._vars[p]
-            self._factors[pattern] = f
-        return f
-
-    def suffix_factor(self, suffix: tuple):
-        """Factor from shorter-pattern windows inside the retained suffix."""
-        f = self._suffix.get(suffix)
-        if f is None:
-            f = 1
-            for p in itertools.chain(self.avoid, self.tracked):
-                if len(p) >= self.k:
-                    continue
-                hits = len(occurrences(suffix, p))
-                if hits:
-                    if p in self._vars:
-                        f = f * self._vars[p] ** hits
-                    else:
-                        f = 0
-                        break
-            self._suffix[suffix] = f
-        return f
+def build_assignment(avoid: Sequence = (), track: Sequence = ()) -> PatternAssignment:
+    """The assignment of a pattern family, on windows as long as its longest
+    pattern: shorter patterns are lifted (see `PatternAssignment`)."""
+    if track:
+        return PatternAssignment.tracking(track, zero=avoid)
+    return PatternAssignment.avoiding(avoid)
 
 
-def build_assignment(avoid: Iterable = (), track: Sequence = ()):
-    """Plain assignment when all patterns share one length, lifted otherwise."""
-    avoid = [tuple(p) for p in avoid]
-    track = [tuple(p) for p in track]
-    pats = avoid + track
-    if not pats:
-        raise ValueError("no patterns given")
-    lengths = {len(p) for p in pats}
-    if len(lengths) == 1:
-        return PatternAssignment(lengths.pop(), zero=avoid, tracked=track)
-    return LiftedAssignment(avoid, track)
+LiftedAssignment = build_assignment  # one class serves mixed lengths too
 
 
-def _direct_mixed_enum(avoid, track, n: int, nvars: int) -> WeightPoly:
-    # tiny sizes only (n below k-1); the table has no cells there
-    total = WeightPoly.zero(nvars)
-    for pi in itertools.permutations(range(1, n + 1)):
-        term: object = 1
-        dead = False
-        for p in avoid:
-            if occurrences(pi, p):
-                dead = True
-                break
-        if dead:
-            continue
-        for idx, p in enumerate(track):
-            hits = len(occurrences(pi, p))
-            if hits:
-                term = term * WeightPoly.variable(idx, nvars) ** hits
-        total = total + term
-    return total
-
-
-def enumerate_for_patterns(avoid: Iterable = (), track: Sequence = (),
+def enumerate_for_patterns(avoid: Sequence = (), track: Sequence = (),
                            N: int = 0) -> list[WeightPoly]:
-    """Series for an arbitrary pattern family, avoided and tracked mixed.
-
-    Same-length families go straight to `enumerate_series`.  Mixed-length
-    families use the lifted assignment; sizes below k-1, where windows of
-    the shorter patterns already exist but the table does not, fall back to
-    direct enumeration (at most (k-2)! permutations).
-    """
+    """Series for an arbitrary pattern family, avoided and tracked mixed
+    (`build_assignment`, `enumerate_series`)."""
     assignment = build_assignment(avoid, track)
-    series = enumerate_series(assignment.k, assignment, N)
-    if isinstance(assignment, LiftedAssignment):
-        avoid_t = assignment.avoid
-        track_t = assignment.tracked
-        for n in range(min(N, assignment.k - 2) + 1):
-            series[n] = _direct_mixed_enum(avoid_t, track_t, n, assignment.nvars)
-    return series
+    return enumerate_series(assignment.k, assignment, N)

@@ -1,34 +1,35 @@
 """Exact coefficient arithmetic for weighted permutation counting.
 
 Weights are sparse polynomials over arbitrary-precision integers, one formal
-variable per tracked window pattern.  Counting runs for long series produce
+variable per tracked pattern.  Counting runs for long series produce
 coefficients far beyond 64 bits, so everything here stays in exact integer
 (or `fractions.Fraction`) arithmetic; no floats.
 
-The engines evaluate every tracked variable at a power of two (Kronecker
-packing, see :class:`Packing`) and run on plain integers; `unpack` turns
-each result back into a polynomial.  Only the positive engine with more
-than three tracked variables computes with :class:`WeightPoly`, where the
-dense layout would outgrow the sparse polynomials.  Evaluation is a ring
-homomorphism, so negative intermediate values are harmless; only the
-decoded result needs its coefficients in [0, 2^B) and its exponents below
-the stride D.  The engines size B from n! (positive engine, and P_n(t) in
-the cluster engine) or n!*2^(n-k+1) (cluster enumerators in u = t - 1),
-and D from the most windows that fit.  Otherwise `WeightPoly` is the type
-at the edges: decoded results, display, and the brute-force oracles.
+The engines run on plain integers: each tracked variable is evaluated at a
+power of two (Kronecker packing, :class:`Packing`), and `unpack` reads each
+result back as a polynomial.  Evaluation is a ring homomorphism, so
+negative intermediate values are harmless; only the decoded result needs
+its coefficients in [0, 2^B) and its exponents below the stride D.  The
+engines size B from n! (positive engine, and P_n(t) in the cluster engine)
+or n!*2^(n-k+1) (cluster enumerators in u = t - 1), and D from the most
+occurrences that fit.  :class:`WeightPoly` is the type at the edges
+(decoded results, display, the brute-force oracles), and the one the
+positive engine computes with past three tracked variables, where the
+dense layout would outgrow the sparse polynomials.
 
-A :class:`PatternAssignment` specializes the per-pattern variables: a pattern
-is either forbidden (factor 0), unconstrained (factor 1), or tracked by one
-of the polynomial variables.
+A :class:`PatternAssignment` is the one factor table of a pattern family,
+for every engine and oracle that weighs windows: its patterns are forbidden
+or tracked, may be shorter than the window, and give `WeightPoly` factors,
+or packed ones when it is built with a layout.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
 from .permcore import InconsistentResult  # re-exported: PackingOverflow is one
+from .permcore import all_patterns, is_permutation, reduction
 
 
 class WeightPoly:
@@ -340,33 +341,46 @@ def unpack(value: int, layout: Packing, mass: int | None = None) -> WeightPoly:
     return WeightPoly(layout.nvars, terms)
 
 
-def _iter_patterns(k: int):
-    return itertools.permutations(range(1, k + 1))
-
-
 class PatternAssignment:
-    """Total map from the length-k window patterns to weight factors.
+    """The window factors of a pattern family, for windows of length k.
 
-    Every pattern of length k gets exactly one factor: 0 (the pattern is
-    forbidden), 1 (ignored), or one tracked variable.  Tracked variables are
-    indexed contiguously in the order the tracked patterns are listed.
+    Each pattern is forbidden (`zero`) or tracked by one variable (`tracked`,
+    indexed in the order listed): a `WeightPoly` variable or, given a
+    `layout`, its packed value.  Patterns may be shorter than k; the longest
+    must have length k.  One rule weighs a word (`weight`): each occurrence
+    of a tracked pattern multiplies in its variable, and one of a forbidden
+    pattern makes the weight 0.  It is tabulated once, at construction:
+    `factors[w]` per window w of length k, for the occurrences that start at
+    w's first entry, and `suffix_factors[q]` per suffix q of length k-1, for
+    every occurrence inside q.  A permutation of size n >= k-1 weighs its
+    windows' factors times the suffix factor of its last k-1 entries: an
+    occurrence starts where a window starts or lies inside that suffix, so
+    each one counts exactly once.
     """
 
-    def __init__(self, k: int, zero: Iterable = (), tracked: Sequence = ()):
+    def __init__(self, k: int, zero: Iterable = (), tracked: Sequence = (),
+                 layout: Packing | None = None):
         if k < 2:
             raise ValueError("window length must be at least 2")
         self.k = k
         self.zero = frozenset(tuple(p) for p in zero)
         self.tracked = tuple(tuple(p) for p in tracked)
-        for p in itertools.chain(self.zero, self.tracked):
-            if len(p) != k or sorted(p) != list(range(1, k + 1)):
-                raise ValueError(f"{p} is not a pattern of length {k}")
+        patterns = [*self.zero, *self.tracked]
+        for p in patterns:
+            if not 2 <= len(p) <= k or not is_permutation(p):
+                raise ValueError(f"{p} is not a pattern of length 2 to {k}")
+        if patterns and max(map(len, patterns)) != k:
+            raise ValueError(f"the longest pattern must have length {k}")
         if len(set(self.tracked)) != len(self.tracked):
             raise ValueError("duplicate tracked pattern")
         if self.zero & set(self.tracked):
             raise ValueError("a pattern cannot be both forbidden and tracked")
         self.nvars = len(self.tracked)
-        self._vars = {p: WeightPoly.variable(i, self.nvars) for i, p in enumerate(self.tracked)}
+        self.layout = layout
+        self._vars = {p: WeightPoly.variable(i, self.nvars) if layout is None
+                      else layout.variable(i) for i, p in enumerate(self.tracked)}
+        self.factors = {w: self._at_start(w) for w in all_patterns(k)}
+        self.suffix_factors = {q: self.weight(q) for q in all_patterns(k - 1)}
 
     @classmethod
     def all_one(cls, k: int) -> "PatternAssignment":
@@ -377,29 +391,44 @@ class PatternAssignment:
         patterns = [tuple(p) for p in patterns]
         if not patterns:
             raise ValueError("avoiding() needs at least one pattern")
-        return cls(len(patterns[0]), zero=patterns)
+        return cls(max(map(len, patterns)), zero=patterns)
 
     @classmethod
     def tracking(cls, patterns: Sequence, zero: Iterable = ()) -> "PatternAssignment":
         patterns = [tuple(p) for p in patterns]
+        zero = [tuple(p) for p in zero]
         if not patterns:
             raise ValueError("tracking() needs at least one pattern")
-        return cls(len(patterns[0]), zero=zero, tracked=patterns)
+        return cls(max(map(len, patterns + zero)), zero=zero, tracked=patterns)
+
+    def _at_start(self, word: tuple):
+        """The factor of the occurrences that start at a word's first entry."""
+        for p in self.zero:
+            if reduction(word[:len(p)]) == p:
+                return 0
+        f = 1
+        for p, var in self._vars.items():
+            if reduction(word[:len(p)]) == p:
+                f = f * var
+        return f
+
+    def weight(self, word: tuple):
+        """The product of the factors of every occurrence in a word."""
+        w = 1
+        for start in range(len(word)):
+            f = self._at_start(word[start:])
+            if not f:
+                return 0
+            w = w * f
+        return w
 
     def factor(self, pattern: tuple):
         """The weight factor gained when a window forms this pattern."""
-        if pattern in self.zero:
-            return 0
-        poly = self._vars.get(pattern)
-        return 1 if poly is None else poly
+        return self.factors[pattern]
 
     def suffix_factor(self, suffix: tuple):
-        """Factor from sub-windows of a retained suffix; 1 for plain assignments.
-
-        Hook for assignments lifted from shorter patterns, where occurrences
-        shorter than k can end inside the last k-1 entries.
-        """
-        return 1
+        """The weight factor of the occurrences inside a retained suffix."""
+        return self.suffix_factors[suffix]
 
     def apply(self, pattern: tuple, weight):
         """Multiply a weight by the factor of one pattern."""
@@ -410,8 +439,7 @@ class PatternAssignment:
 
     def items(self):
         """All (pattern, factor) pairs over the length-k patterns."""
-        for p in _iter_patterns(self.k):
-            yield p, self.factor(p)
+        return self.factors.items()
 
 
 def term_text(weight) -> str:

@@ -381,3 +381,17 @@ def test_repeated_runs_are_byte_identical():
     a = run_cli(["hitparade", "3", "--n", "15", "--format", "json"])
     b = run_cli(["hitparade", "3", "--n", "15", "--format", "json"])
     assert a == b
+
+
+def test_clusters_and_count_name_the_same_class():
+    from cwilf.permcore import all_patterns, format_pattern
+
+    for p in all_patterns(3) + all_patterns(4):
+        text = format_pattern(p)
+        labels = []
+        for argv in (["clusters", text], ["count", "--avoid", text]):
+            code, out, _ = run_cli([*argv, "--n", "4", "--format", "json"])
+            assert code == 0
+            data = json.loads(out)
+            labels.append((data["representative"], data["class"]))
+        assert labels[0] == labels[1], text

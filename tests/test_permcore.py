@@ -122,6 +122,15 @@ def test_brute_weight_enum_cap():
         brute_weight_enum(7, 3, PatternAssignment.all_one(3), cap=6)
 
 
+
+def test_brute_weight_enum_refuses_shorter_patterns():
+    # the oracle reads window factors only, so the occurrences of a shorter
+    # pattern inside the last k-1 entries would go uncounted
+    for a in (PatternAssignment(3, zero=[(1, 2)], tracked=[(1, 2, 3)]),
+              PatternAssignment.tracking([(2, 1), (1, 3, 2)])):
+        with pytest.raises(ValueError):
+            brute_weight_enum(4, 3, a)
+
 def test_avoidance_is_symmetry_invariant():
     for k in (2, 3, 4):
         for p in all_patterns(k):

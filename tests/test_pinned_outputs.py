@@ -1,0 +1,40 @@
+"""Recorded stdout of the positive engine's less common routes.
+
+Each command's stdout SHA-256 was recorded from the release before the
+positive engine's assignments became one class, and must not move:
+mixed pattern lengths (avoided, and avoided with tracking), the sparse
+path with four tracked variables, a packed set with a pattern forbidden
+(no P_n(1) = n! check can catch a fault there), and a mixed-length
+cross-check.  The benchmark's own commands are pinned in
+`test_reference_outputs.py`.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from cwilf import cli
+
+PINNED = {
+    "count --avoid 12;123 --n 10 --format json":
+        "c8a5d6963543ba5fb7744c04ae6daf9ce98fc19ac1e1fbf882dbf6a73b8237db",
+    "count --avoid 321 --track 1234;12 --n 10 --format json":
+        "6ed9959c0c9e1b46faef184225970038ce65e53fe339fecc68e81d3f8e7a13c4",
+    "count --track 123;132;213;231 --n 9 --format json":
+        "f29ff95a4d94c47eb16230b7477d9a5ac6b608534398e53c18fe30cc4e9f2f4e",
+    "count --track 123;321;132 --avoid 12345 --n 10 --format json":
+        "a8987d5c3515c46cabdbeecf151989294837d6b0a92cdbdc9a11a1c291297ef7",
+    "crosscheck 12;123 --n 7":
+        "a464c883a7cdcbd8bf58e53638b82df65123de7d44b40ae6c804f16805abd585",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_pinned_command_reproduces_its_bytes(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(command.split(" "))
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == PINNED[command]

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from cwilf.weightring import (
     packing_layout,
     unpack,
 )
+from cwilf.permcore import occurrences, reduction
 from helpers import random_poly
 
 T = WeightPoly.variable(0, 1)
@@ -197,3 +200,33 @@ def test_tracked_variable_indices_are_contiguous():
     assert a.nvars == 2
     assert a.factor((1, 2, 3)) == WeightPoly.variable(0, 2)
     assert a.factor((3, 2, 1)) == WeightPoly.variable(1, 2)
+
+
+def test_each_occurrence_counts_once():
+    # a permutation of size n >= k-1 weighs its windows' factors times the
+    # suffix factor of its last k-1 entries, a smaller one its own `weight`;
+    # both must give t_i per occurrence of tracked pattern i, or 0 once an
+    # avoided pattern occurs, on polynomials and packed alike
+    families = [([(1, 2)], [(1, 2, 3)]), ([(2, 1, 3)], [(1, 2), (3, 2, 1)]),
+                ([], [(2, 1), (1, 3, 2), (1, 2, 3, 4)]), ([(1, 2, 3)], [(2, 1), (1, 2, 4, 3)]),
+                ([(1, 3, 2)], [(1, 2, 3), (3, 2, 1)]), ([], [(2, 1, 4, 3), (1, 2, 3, 4)])]
+    N = 7
+    for avoid, track in families:
+        poly = PatternAssignment.tracking(track, zero=avoid)
+        k, nvars = poly.k, poly.nvars
+        layout = packing_layout(nvars, math.factorial(N), N - min(map(len, track)) + 1)
+        packed = PatternAssignment(k, zero=avoid, tracked=track, layout=layout)
+        for n in range(N + 1):
+            for pi in itertools.permutations(range(1, n + 1)):
+                expected = 0 if any(occurrences(pi, p) for p in avoid) else WeightPoly(
+                    nvars, {tuple(len(occurrences(pi, p)) for p in track): 1})
+                for a in (poly, packed):
+                    if n < k - 1:
+                        got = a.weight(pi)
+                    else:
+                        got = a.suffix_factor(reduction(pi[n - k + 1:]))
+                        for start in range(n - k + 1):
+                            got = got * a.factor(reduction(pi[start:start + k]))
+                    if a is packed:
+                        got = unpack(got, layout)
+                    assert got == expected, (avoid, track, pi)
