@@ -1,8 +1,9 @@
 """Series routing, cross-method validation, growth estimation, and ranking.
 
-One router, `_series`, serves `count`, `growth` and `hitparade`: it alone
-picks the engine, the class label, the member list and the member that
-runs, guards the brute-force depth and runs the runtime checks.  The
+One router, `_series`, serves `count`, `growth`, `hitparade` and every
+`crosscheck` column of a non-empty family: it alone picks the engine, the
+class label, the member list and the member that runs, guards the
+brute-force depth and runs the runtime checks.  The
 counting engines are exact; this module compares them against each other
 and against the brute-force oracles, estimates asymptotic growth from term
 ratios, and ranks the patterns of a given length by how many permutations
@@ -256,53 +257,42 @@ def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
                 cap: int | None = None) -> CrossCheckReport:
     """Run every applicable method side by side and compare exactly.
 
-    Single pattern: brute, positive, and cluster, compared on the full
-    occurrence polynomials.  Sets: the positive engine on avoidance against
-    the window oracle (same-length sets) or a direct scan (mixed lengths).
-    Discrepancies are report content, never exceptions.
+    Each column of a non-empty family is `_series` on one engine: a single
+    pattern is tracked on brute, positive and cluster and compared on its
+    occurrence polynomials, a set is avoided on brute and positive.  So the
+    router's up-front cap refusal (`OracleLimitError`) and its runtime
+    checks (`InconsistentResult`) apply; disagreements between the columns
+    are report content.  The empty family compares the window oracle and
+    the positive engine, with no pattern, against the factorials.
     """
-    from . import cluster_dp, positive_dp
-    from .weightring import PatternAssignment, term_text
-
     patterns = tuple(tuple(p) for p in patterns)
-    texts = tuple(permcore.format_pattern(p) for p in patterns)
-    columns: dict[str, list] = {}
-    if not patterns:
-        fact = [1]
-        for n in range(1, n_max + 1):
-            fact.append(fact[-1] * n)
-        assignment = PatternAssignment.all_one(2)
-        columns["brute"] = [permcore.brute_weight_enum(n, 2, assignment, cap=cap)
-                            for n in range(n_max + 1)]
-        columns["positive"] = positive_dp.enumerate_series(2, assignment, n_max)
-        columns["factorial"] = fact
-    elif len(patterns) == 1:
-        p = patterns[0]
-        assignment = PatternAssignment.tracking([p])
-        columns["brute"] = [permcore.brute_weight_enum(n, len(p), assignment, cap=cap)
-                            for n in range(n_max + 1)]
-        columns["positive"] = positive_dp.enumerate_series(len(p), assignment, n_max)
-        columns["cluster"] = cluster_dp.assemble_counts(p, n_max)
+    if patterns:
+        single = len(patterns) == 1
+        avoid, track = ((), patterns) if single else (patterns, ())
+        engines = ("brute", "positive", "cluster") if single else ("brute", "positive")
+        columns = {e: _series(avoid, track, n_max, e, cap).terms for e in engines}
     else:
-        if len({len(p) for p in patterns}) == 1:
-            assignment = PatternAssignment.avoiding(patterns)
-            columns["brute"] = [permcore.brute_weight_enum(n, assignment.k, assignment, cap=cap)
-                                for n in range(n_max + 1)]
-        else:
-            columns["brute"] = [permcore.brute_avoider_count(patterns, n, cap=cap)
-                                for n in range(n_max + 1)]
-        columns["positive"] = positive_dp.enumerate_for_patterns(avoid=patterns, N=n_max)
+        from . import positive_dp
+        from .weightring import PatternAssignment
+
+        assignment = PatternAssignment.all_one(2)
+        columns = {
+            "brute": [permcore.brute_weight_enum(n, 2, assignment, cap=cap)
+                      for n in range(n_max + 1)],
+            "positive": positive_dp.enumerate_series(2, assignment, n_max),
+            "factorial": _series((), (), n_max).terms,
+        }
     methods = tuple(columns)
     rows = []
     discrepancies = []
-    for n in range(n_max + 1):
-        texts_by_method = {m: term_text(columns[m][n]) for m in methods}
-        distinct = set(texts_by_method.values())
-        equal = len(distinct) == 1
-        rows.append({"n": n, "equal": equal, "terms": texts_by_method})
+    for n, texts in enumerate(zip(*(term_texts(c) for c in columns.values()))):
+        terms = dict(zip(methods, texts))
+        equal = len(set(texts)) == 1
+        rows.append({"n": n, "equal": equal, "terms": terms})
         if not equal:
-            discrepancies.append({"n": n, "terms": texts_by_method})
-    return CrossCheckReport(texts, n_max, methods, rows, discrepancies)
+            discrepancies.append({"n": n, "terms": terms})
+    return CrossCheckReport(tuple(map(permcore.format_pattern, patterns)), n_max, methods,
+                            rows, discrepancies)
 
 
 def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:

@@ -4,16 +4,19 @@ Every pipeline is exposed as a subcommand with reproducible output: text is
 newline-terminated UTF-8, JSON keeps a stable field order, and identical
 configurations always produce identical bytes.
 
-Exit codes: 0 success, 2 usage or parse error, 3 brute-force cap exceeded,
-4 inconsistent result: a cross-check discrepancy under --strict, a packed
-polynomial that fails its P_n(1) = n! check, an avoidance series whose
-first terms are not n! (n < k) and k! - |set| (n = k), or a tracked series
-with nothing forbidden whose P_n(1) is not n! or whose first moment in a
-tracked pattern of length m is not (n-m+1) n!/m!, or two members of a
-pattern's symmetry class that disagree on its counts at t = 0, avoided or
-tracked, 130 interrupted (Ctrl-C), 141 stdout closed by its reader (128 +
-SIGPIPE).  `count` makes one call into the router (`analysis._series`), and
-terms of any length print: `main` lifts Python's int-to-text digit limit.
+Exit codes: 0 success, 2 usage or parse error (a negative --n on any
+command), 3 brute-force cap exceeded, refused up front on a non-empty
+family, 4 inconsistent result: a cross-check discrepancy under --strict, or
+on any command, `crosscheck` included, a packed polynomial that fails its
+P_n(1) = n! check, an avoidance series whose first terms are not n! (n < k)
+and k! - |set| (n = k), or a tracked series with nothing forbidden whose
+P_n(1) is not n! or whose first moment in a tracked pattern of length m is
+not (n-m+1) n!/m!, or two members of a pattern's symmetry class that
+disagree on its counts at t = 0, avoided or tracked, 130 interrupted
+(Ctrl-C), 141 stdout closed by its reader (128 + SIGPIPE). `count` makes
+one call into the router (`analysis._series`), `crosscheck` one per engine
+it compares, and terms of any length print: `main` lifts Python's
+int-to-text digit limit.
 """
 
 from __future__ import annotations
@@ -125,8 +128,6 @@ def _cmd_count(args) -> int:
     track = permcore.parse_pattern_set(args.track)
     if set(avoid) & set(track):
         raise ValueError("a pattern cannot be both avoided and tracked")
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     report = analysis._series(avoid, track, args.n, args.engine, _resolve_cap(args))
     if args.format == "json":
         _emit_json(report.to_json_dict())
@@ -137,8 +138,6 @@ def _cmd_count(args) -> int:
 
 def _cmd_clusters(args) -> int:
     p = permcore.parse_pattern(args.pattern)
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     from . import cluster_dp
     from .weightring import term_text
 
@@ -169,20 +168,15 @@ def _cmd_crosscheck(args) -> int:
     reports = [analysis.cross_check(ps, args.n, cap=cap) for ps in pattern_sets]
     total = sum(len(r.discrepancies) for r in reports)
     if args.format == "json":
-        _emit_json({
-            "pattern": " | ".join(";".join(r.patterns) for r in reports),
-            "representative": None,
-            "class": [],
-            "method": "crosscheck",
-            "terms": [],
-            "growth": None,
-            "checks": {
-                "n": args.n,
-                "discrepancies": total,
-                "methods": sorted({m for r in reports for m in r.methods}),
-                "first": next((r.first_discrepancy for r in reports if not r.ok), None),
-            },
-        })
+        checks = {
+            "n": args.n,
+            "discrepancies": total,
+            "methods": sorted({m for r in reports for m in r.methods}),
+            "first": next((r.first_discrepancy for r in reports if not r.ok), None),
+        }
+        pattern = " | ".join(";".join(r.patterns) for r in reports)
+        _emit_json(analysis.SeriesReport(pattern, None, (), "crosscheck", [],
+                                         checks=checks).to_json_dict())
     else:
         if total == 0:
             _emit(f"OK: {total} discrepancies")
@@ -200,8 +194,6 @@ def _cmd_hitparade(args) -> int:
     k = args.k if args.k is not None else args.k_flag
     if k is None:
         raise ValueError("hitparade needs a pattern length")
-    if args.n is not None and args.n < 0:
-        raise ValueError("--n must be nonnegative")
     rows = analysis.hit_parade(k, args.n)
     if args.format == "json":
         _emit_json([r.to_json_dict() for r in rows])
@@ -245,6 +237,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n is not None and args.n < 0:  # every command has --n
+            raise ValueError("--n must be nonnegative")
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code

@@ -395,3 +395,15 @@ def test_clusters_and_count_name_the_same_class():
             data = json.loads(out)
             labels.append((data["representative"], data["class"]))
         assert labels[0] == labels[1], text
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--avoid", "123"],
+    ["clusters", "123"],
+    ["crosscheck", "123"],
+    ["hitparade", "3"],
+    ["growth", "123"],
+])
+def test_every_command_refuses_negative_n(argv):
+    code, out, err = run_cli([*argv, "--n", "-1"])
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: --n must be nonnegative\n")

@@ -5,7 +5,9 @@ positive engine's assignments became one class, and must not move:
 mixed pattern lengths (avoided, and avoided with tracking), the sparse
 path with four tracked variables, a packed set with a pattern forbidden
 (no P_n(1) = n! check can catch a fault there), and a mixed-length
-cross-check.  The benchmark's own commands are pinned in
+cross-check.  The `crosscheck` commands after those were recorded from
+the release before `crosscheck` built its columns through the series
+router.  The benchmark's own commands are pinned in
 `test_reference_outputs.py`.
 """
 
@@ -28,6 +30,21 @@ PINNED = {
         "a8987d5c3515c46cabdbeecf151989294837d6b0a92cdbdc9a11a1c291297ef7",
     "crosscheck 12;123 --n 7":
         "a464c883a7cdcbd8bf58e53638b82df65123de7d44b40ae6c804f16805abd585",
+    "crosscheck --all-s3 --n 8":
+        "a464c883a7cdcbd8bf58e53638b82df65123de7d44b40ae6c804f16805abd585",
+    "crosscheck --all-s3 --n 8 --format json":
+        "1cef30520a4046b31cbfc97af8ccd23eb65a6b8e87029c8a49d281a9ac31abb4",
+    "crosscheck 123;321 --n 7 --format json":
+        "5644bd72b23b690e7c9cb236ad7adecf25b3334f0f72c2aaea4f6d71577b05a1",
+    "crosscheck 12;123 --n 7 --format json":
+        "39593bf56d016024b3de09b9e42d28ad35975f819b88fe9a32fe7d827ded7edc",
+    "crosscheck 1324;2143 --n 8 --format json":
+        "46daa7a1cbce58e6f2675cbb8b5bdf99bffb281c3696f7ea07c432c13099b5eb",
+    "crosscheck 1342 --n 8 --format json":
+        "b4a802fea38740c8c176c8b04017fb200fbf75a86badbdd47610d045f4f1078a",
+    # the empty set: the two spaces split to an empty pattern argument
+    "crosscheck  --n 5 --format json":
+        "c822b3a9b20494d87bb956c6cd12ea21219a802d68b4ff2cfa55b03ccd269013",
 }
 
 
