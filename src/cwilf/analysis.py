@@ -103,6 +103,14 @@ def tracked_series(track: Sequence[Sequence[int]], avoid: Sequence[Sequence[int]
     return _series(avoid, track, N, engine, cap)
 
 
+def _refuse_above_cap(N: int, cap: int | None) -> None:
+    """Refuse brute force to size N above the cap before it burns minutes on
+    the sizes below (`OracleLimitError`)."""
+    limit = permcore.DEFAULT_PERM_CAP if cap is None else cap
+    if N > limit:
+        raise permcore.OracleLimitError(f"oracle limit: n={N} exceeds cap {limit}")
+
+
 def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: int,
             engine: str = "auto", cap: int | None = None) -> SeriesReport:
     """The one route from a query to its report: engine, label, members, checks.
@@ -149,9 +157,7 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
 
         terms = positive_dp.enumerate_for_patterns(avoid=avoid, track=track, N=N)
     elif engine == "brute":
-        limit = permcore.DEFAULT_PERM_CAP if cap is None else cap
-        if N > limit:  # refuse before burning minutes on the sizes below the cap
-            raise permcore.OracleLimitError(f"oracle limit: n={N} exceeds cap {limit}")
+        _refuse_above_cap(N, cap)
         if len({len(p) for p in patterns}) == 1:
             from .weightring import PatternAssignment
 
@@ -263,7 +269,8 @@ def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
     router's up-front cap refusal (`OracleLimitError`) and its runtime
     checks (`InconsistentResult`) apply; disagreements between the columns
     are report content.  The empty family compares the window oracle and
-    the positive engine, with no pattern, against the factorials.
+    the positive engine, with no pattern, against the factorials, and
+    refuses an n_max above the cap up front as well.
     """
     patterns = tuple(tuple(p) for p in patterns)
     if patterns:
@@ -275,6 +282,7 @@ def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
         from . import positive_dp
         from .weightring import PatternAssignment
 
+        _refuse_above_cap(n_max, cap)
         assignment = PatternAssignment.all_one(2)
         columns = {
             "brute": [permcore.brute_weight_enum(n, 2, assignment, cap=cap)

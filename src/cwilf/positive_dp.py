@@ -11,24 +11,16 @@ append creates exactly one new window, whose pattern is a function of q and
 of which gap between consecutive j-values the new rank lands in; the window's
 factor (0, 1, or a tracked variable) multiplies the weight.
 
-A table is stored in the groups that the next append reads: a state keeps,
-after dropping its oldest entry, a retained order o and retained values s,
-packed into one integer group key, and `StateTable.groups[d][key][x]` holds
-the weight of the state whose oldest entry has drop index d (its rank minus
-one) and value x.  Each table sums its groups per drop index once, when it
-is built; the readout and the next step share those totals.
-
-Two step implementations are provided.  `step_append` loops over every child
-rank i and is the reference.  `step_append_aggregated` pulls each child from
-its one group of parents: every parent adds its factor times its weight, and
-the factor changes only with whether the dropped value lies below the new
-entry.  Per group and gap, one fixed sum covers the other gaps and a running
-sum over the dropped values covers the gap itself.  Each child is written
-straight into its own group of the next table, whose key steps by a fixed
-stride with the new entry, so a level costs one pass over the groups and
-one integer-keyed write per child.  Which factor applies where is worked
-out once per run, in a plan that each table hands on to its child.  The two
-steps must agree exactly on every input.
+A table is stored in the groups that the next append reads (`StateTable`).
+`step_append` loops over every child rank i and is the reference.
+`step_append_aggregated` pulls each child from its one group of parents:
+all children of a group in one gap weigh the same, so the step writes one
+run per group and gap, split only where a factor changes inside it.  The
+next table's group totals are prefix sums of the runs' weights, and cells
+are expanded from the runs only where a split or `StateTable.cells` reads
+them.  Which factor applies where is worked out once per run, in a plan
+that each table hands on to its child.  The two steps must agree exactly
+on every input.
 
 The steps are generic over the weight ring: integers, or `WeightPoly` for
 the tests and the reference runs.  One `PatternAssignment` supplies every
@@ -55,6 +47,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter, lshift, mul, sub
 
 from .permcore import all_patterns, reduction
 from .weightring import PatternAssignment, WeightPoly, as_weight_poly, packing_layout, unpack
@@ -83,75 +77,76 @@ def _group_key(order_index: int, values: Iterable[int], width: int) -> int:
 
 
 class StateTable:
-    """Weights of all permutations of size n, grouped by suffix state.
+    """Weights of all permutations of size n, stored as runs of cells.
 
-    A state (q, j) is stored under what it keeps on the next append: its
-    drop index d = q[0]-1, the value x = j[d] it drops next, and one integer
-    key for its retained order o = reduction(q[1:]) and retained values s
-    (j without x), so that `groups[d][key][x] = w`.  The key holds the index
-    of o among the orders of length k-2, then one field of `width` =
-    bitlen(n) bits per value of s, smallest first.  `totals[key][d]` is the
-    sum of `groups[d][key]` (0 where it is empty), taken once when the table
-    is built for the readout and the next step to share.  `cells` is the
-    flat (q, j) -> w view.
+    A state (q, j) is the cell (d, key, x) of what it drops and keeps next:
+    drop index d = q[0]-1, value x = j[d], and a key of the index of
+    o = reduction(q[1:]) among the orders of length k-2, then a field of
+    `width` = bitlen(n) bits per retained value, smallest first.
+    `lines[base]` (`_new_line`) holds the runs on the keys base + i*stride.
+    `totals[oi][key][d]`, read off the lines' prefix sums, is the weight of
+    drop index d on a key of order index oi whose totals are not all 0.
+    `cells` is the flat (q, j) -> w view: its length is the live count kept
+    as runs are written, and its cells are expanded from the runs
+    (`_cells_of`) only to be read.
     """
 
     def __init__(self, n: int, k: int, cells):
         width = n.bit_length()
         index = {o: i for i, o in enumerate(all_patterns(k - 2))}
-        groups = [defaultdict(dict) for _ in range(k - 1)]
+        lines: dict[int, list] = {}
         for (q, j), w in cells.items():
             d = q[0] - 1
-            groups[d][_group_key(index[reduction(q[1:])], j[:d] + j[d + 1:], width)][j[d]] = w
-        self._build(n, k, groups, None)
+            key = _group_key(index[reduction(q[1:])], j[:d] + j[d + 1:], width)
+            i = key & (1 << width) - 1  # one run per cell, on its key's lowest field
+            line = lines.get(key - i) or lines.setdefault(key - i, _new_line(1, n + 2, k))
+            line[1].append((d, i, i + 1, j[d], w))
+            line[2 + d][i] += w
+            line[2 + d][i + 1] -= w
+        self._build(n, k, lines, len(cells), None)
 
-    @classmethod
-    def _from_groups(cls, n: int, k: int, groups: list, plan) -> StateTable:
-        table = cls.__new__(cls)
-        table._build(n, k, groups, plan)
-        return table
-
-    def _build(self, n: int, k: int, groups: list, plan) -> None:
-        # plan: (assignment, pull plan) of the run that built the table, or None
-        self.n, self.k, self.groups, self._plan = n, k, groups, plan
+    def _build(self, n: int, k: int, lines: dict, live: int, plan) -> StateTable:
+        # plan: (assignment, pull plan, layouts by bit width) of the run that
+        # built the table, or None
+        self.n, self.k, self.lines, self.live, self._plan = n, k, lines, live, plan
         self.width = n.bit_length()
-        totals: dict[int, list] = {}
-        for d, by_key in enumerate(groups):
-            for key, dropped in by_key.items():
-                sums = totals.get(key)
-                if sums is None:
-                    sums = totals[key] = [0] * (k - 1)
-                sums[d] = sum(dropped.values())
-        self.totals = totals
+        self._classes: dict[tuple[int, int], dict] = {}
+        shift = self.width * (k - 2)
+        self.totals: list[dict] = [{} for _ in all_patterns(k - 2)]
+        for base, (stride, _runs, *columns) in lines.items():
+            sums = list(zip(*map(accumulate, columns)))
+            self.totals[base >> shift].update(compress(
+                zip(range(base, base + len(sums) * stride, stride), sums), map(any, sums)))
+        return self
 
-    def _retained(self, key: int) -> tuple[int, list[int]]:
-        """The order index and the retained values in a group key."""
-        fields, width = self.k - 2, self.width
-        mask = (1 << width) - 1
-        return key >> width * fields, [key >> width * t & mask for t in range(fields - 1, -1, -1)]
+    def _cells_of(self, d: int, oi: int) -> Mapping[int, list]:
+        """key -> [(x, w), ...] by increasing x, for the cells with drop
+        index d and retained order index oi: expanded from the runs once."""
+        found = self._classes.get((d, oi))
+        if found is None:
+            found = self._classes[d, oi] = defaultdict(list)
+            shift = self.width * (self.k - 2)
+            ordered = sorted(((x, base, stride, lo, end, w)
+                              for base, (stride, runs, *_columns) in self.lines.items()
+                              if base >> shift == oi
+                              for d2, lo, end, x, w in runs if d2 == d), key=itemgetter(0))
+            for x, base, stride, lo, end, w in ordered:
+                cell = (x, w)
+                for key in range(base + lo * stride, base + end * stride, stride):
+                    found[key].append(cell)
+        return found
 
     @property
     def cells(self) -> Mapping[State, object]:
         return _Cells(self)
 
     def weight_sum(self, assignment):
-        """Sum of all cell weights, with any suffix factors applied.
-
-        A suffix factor depends only on q, that is on (o, d), so the group
-        totals are added up per (o, d) and each sum gets its factor once.
-        """
-        m = self.k - 1
-        shift = self.width * (m - 1)
-        by_order: dict[int, list] = {}
-        for key, sums in self.totals.items():
-            acc = by_order.setdefault(key >> shift, [0] * m)
-            for d, t in enumerate(sums):
-                if t:
-                    acc[d] = acc[d] + t
-        orders = all_patterns(m - 1)
+        """Sum of all cell weights, each suffix factor (a function of (o, d))
+        applied once per sum."""
+        orders = all_patterns(self.k - 2)
         total = 0
-        for oi, acc in by_order.items():
-            for d, t in enumerate(acc):
+        for oi, by_key in enumerate(self.totals):
+            for d, t in enumerate(map(sum, zip(*by_key.values()))):
                 if t:
                     f = assignment.suffix_factor(_suffix(orders[oi], d))
                     if f != 0:
@@ -172,13 +167,13 @@ def _decoded(value, assignment, n: int) -> WeightPoly:
 
 
 class _Cells(Mapping):
-    """The flat (q, j) -> w view of a table's groups."""
+    """The flat (q, j) -> w view of a table's runs."""
 
     def __init__(self, table: StateTable):
         self._table = table
 
     def __len__(self) -> int:
-        return sum(len(dropped) for by_key in self._table.groups for dropped in by_key.values())
+        return self._table.live
 
     def __getitem__(self, state: State):
         q, j = state
@@ -188,22 +183,34 @@ class _Cells(Mapping):
                 or list(j) != sorted(set(j)) or not 1 <= j[0] <= j[-1] <= table.n):
             raise KeyError(state)
         d = q[0] - 1
-        key = _group_key(all_patterns(table.k - 2).index(reduction(q[1:])),
-                         j[:d] + j[d + 1:], table.width)
-        return table.groups[d].get(key, {})[j[d]]
+        oi = all_patterns(table.k - 2).index(reduction(q[1:]))
+        key = _group_key(oi, j[:d] + j[d + 1:], table.width)
+        for x, w in table._cells_of(d, oi).get(key, ()):
+            if x == j[d]:
+                return w
+        raise KeyError(state)
 
     def __iter__(self):
         return (state for state, _w in self.items())
 
     def items(self):
         table = self._table
-        orders = all_patterns(table.k - 2)
-        for d, by_key in enumerate(table.groups):
-            for key, dropped in by_key.items():
-                oi, s = table._retained(key)
-                q = _suffix(orders[oi], d)
-                for x, w in dropped.items():
-                    yield (q, (*s[:d], x, *s[d:])), w
+        mask = (1 << table.width) - 1
+        for oi, o in enumerate(all_patterns(table.k - 2)):
+            for d in range(table.k - 1):
+                q = _suffix(o, d)
+                for key, dropped in table._cells_of(d, oi).items():
+                    s = [key >> table.width * t & mask for t in range(table.k - 3, -1, -1)]
+                    for x, w in dropped:
+                        yield (q, (*s[:d], x, *s[d:])), w
+
+
+def _new_line(stride: int, size: int, k: int) -> list:
+    """[stride, runs, a column per drop index]: the runs on keys base +
+    i*stride.  A run (d, lo, end, x, w) is the cell (d, key, x) of weight w
+    for lo <= i < end: it adds w at lo and -w at end of column d, whose
+    prefix sums are then the keys' totals."""
+    return [stride, [], *([0] * size for _ in range(k - 1))]
 
 
 def state_of(pi: Sequence[int], k: int) -> State:
@@ -302,27 +309,46 @@ def _pull_plan(k: int, factor) -> list:
     return plan
 
 
-def _at_width(plan: list, k: int, width: int) -> list:
-    """The plan with its child key fields laid out at `width` bits per value.
+def _at_width(plan: list, k: int, width: int, child: int) -> list:
+    """The plan for a step from keys of `width` to `child` bits per value.
 
-    Each row becomes (d2, fixed, change, base, copies, stride, x2_from): the
-    order field and the u of every (r, u) in `base`, an (r, bit offset) per
-    retained value copied, and the stride of the new entry's field.
+    Row (p, d2, start, terms, change, base, copies, stride, lo, end, x2): a
+    group's fixed weight in gap p is, per (d, scale, by) in `terms`, its
+    total t of drop index d, or scale(t, by), summed, or taken off the sum
+    of its totals if `start`.  A child key is `base`, plus each parent field
+    moved per (shift, mask, offset) of `copies`, plus i times `stride`.  lo
+    <= i < end, and the x2 dropped next, are (shift, mask, plus) for
+    (key >> shift & mask) + plus, where a plus of None stands for n+2.
     """
-    top = width * (k - 2)
+    mask, top, fields = (1 << width) - 1, child * (k - 2), k - 2
+
+    def read(r: int, plus: int) -> tuple:
+        # the parent value s[r] plus `plus`, or `plus` alone outside s
+        return (width * (fields - 1 - r), mask, plus) if 0 <= r < fields else (0, 0, plus)
+
     out = []
     for rows in plan:
         level = []
-        for d2, o2, fixed, change, kept, x2_from in rows:
+        for p, (d2, o2, fixed, change, kept, x2_from) in enumerate(rows):
             base, copies, stride = o2 << top, [], 1
             for t, field in enumerate(kept):
-                offset = top - width * (t + 1)
+                offset = top - child * (t + 1)
                 if field is None:
                     stride = 1 << offset
                 else:
-                    copies.append((field[0], offset))
                     base += field[1] << offset
-            level.append((d2, fixed, change, base, copies, stride, x2_from))
+                    copies.append((width * (fields - 1 - field[0]), mask, offset))
+            factors = dict(fixed)
+            # 0/1 factors start from the sum when fewer totals are left out;
+            # a power of two, as packed variables are, shifts
+            from_sum = [(d, -1) for d in range(k - 1) if d not in factors]
+            start = all(f == 1 for f in factors.values()) and len(from_sum) < len(factors)
+            terms = [(d, None, 0) if start or g == 1 else (d, lshift, g.bit_length() - 1)
+                     if isinstance(g, int) and g > 0 and not g & g - 1 else (d, mul, g)
+                     for d, g in (from_sum if start else fixed)]
+            level.append((p, d2, start, terms, change, base, copies, stride, read(p - 1, 1),
+                          read(p, 1) if p < fields else (0, 0, None),
+                          read(*x2_from) if x2_from else (0, 0, 0)))
         out.append(level)
     return out
 
@@ -330,61 +356,74 @@ def _at_width(plan: list, k: int, width: int) -> list:
 def step_append_aggregated(table: StateTable, assignment) -> StateTable:
     """Same contract as `step_append`, pulled from retained-value groups.
 
-    A child of the group (o, s) comes from no other group, so it is written
-    once, straight into its own group: the fixed factors times the group's
-    totals per drop index, plus a running sum over the parents whose dropped
-    value lies in its own gap.  In gap p only the new entry i varies, so the
-    value x2 the child drops next is fixed and its group key is an
-    arithmetic progression in i.
-
-    The plan depends only on the assignment.  The first step builds it and
-    each table hands it on to its child.
+    A group's children come from no other group, and in its gap p only the
+    new entry i varies: x2 is fixed, the key steps with i, and the weight is
+    the fixed factors times the group's totals (taken for all groups of an
+    order at once).  So the step writes one run per group and gap, split at
+    the group's dropped values, expanded from the parent's runs, only where
+    the factor moves as i passes them (`change`).  The plan depends only on
+    the assignment: the first step builds it, each table hands it on.
     """
     n, k = table.n, table.k
     plan = table._plan
     if plan is None or plan[0] is not assignment:
-        plan = (assignment, _pull_plan(k, assignment.factor))
-    rows_of = _at_width(plan[1], k, (n + 1).bit_length())
-    groups = [defaultdict(dict) for _ in range(k - 1)]
-    parents = table.groups
-    # the parent keys' layout, as in `StateTable._retained`
-    mask = (1 << table.width) - 1
-    offsets = [table.width * t for t in range(k - 3, -1, -1)]
-    top = table.width * (k - 2)
-    for key, totals in table.totals.items():
-        s = [key >> offset & mask for offset in offsets]
-        s.append(n + 1)
-        lo = 1
-        for p, (d2, fixed, change, base, copies, stride, x2_from) in enumerate(rows_of[key >> top]):
-            hi = s[p]
-            value = 0
-            for d, f in fixed:
-                t = totals[d]
-                if t:
-                    value = value + (t if f == 1 else f * t)
-            for r, offset in copies:
-                base += s[r] << offset
-            x2 = 0 if x2_from is None else s[x2_from[0]] + x2_from[1]
-            into = groups[d2]
-            # split the gap at its dropped values, where the window factor moves
-            dropped = parents[p].get(key) if change else None
-            if dropped:
-                for x, w in sorted(dropped.items()):
-                    if value:
-                        for child in range(base + lo * stride, base + (x + 1) * stride, stride):
-                            into[child][x2] = value
-                    value = value + (w if change == 1 else change * w)
-                    lo = x + 1
-            if value:
-                for child in range(base + lo * stride, base + (hi + 1) * stride, stride):
-                    into[child][x2] = value
-            lo = hi + 1
+        plan = (assignment, _pull_plan(k, assignment.factor), {})
+    widths = (n.bit_length(), (n + 1).bit_length())
+    layout = plan[2].get(widths) or plan[2].setdefault(widths, _at_width(plan[1], k, *widths))
+    lines: dict[int, list] = {}
+    live = 0
+    for oi, rows in enumerate(layout):
+        by_key = table.totals[oi]
+        columns = list(zip(*by_key.values())) or [()] * (k - 1)
+        sums = list(map(sum, by_key.values()))
+        for (p, d2, start, terms, change, base0, copies, stride, (lo_shift, lo_mask, lo_plus),
+             (end_shift, end_mask, end_plus), (x2_shift, x2_mask, x2_plus)) in rows:
+            end_plus = n + 2 if end_plus is None else end_plus
+            values = sums if start else None
+            for d, scale, by in terms:
+                column = columns[d] if scale is None else map(scale, columns[d], repeat(by))
+                values = column if values is None else map(sub if start else add, values, column)
+            values = list(values or [0] * len(sums))
+            groups = compress(zip(by_key, values), values)
+            if change:
+                # every group with cells to pass, its totals 0 or not
+                dropped = table._cells_of(p, oi)
+                extra = dropped.keys() - by_key.keys()
+                groups = zip([*by_key, *extra], values + [0] * len(extra))
+            for key, value in groups:
+                base = base0
+                for shift, mask, offset in copies:
+                    base += (key >> shift & mask) << offset
+                lo = (key >> lo_shift & lo_mask) + lo_plus
+                end = (key >> end_shift & end_mask) + end_plus
+                x2 = (key >> x2_shift & x2_mask) + x2_plus
+                line = lines.get(base)
+                if line is None:
+                    line = lines[base] = _new_line(stride, n + 3, k)
+                diff = line[2 + d2]
+                diff[lo] += value
+                if change:
+                    # one run per piece between dropped values y
+                    for y, w in dropped.get(key, ()):
+                        y += 1
+                        if value:
+                            line[1].append((d2, lo, y, x2, value))
+                            live += y - lo
+                        w = w if change == 1 else change * w
+                        diff[y] += w
+                        value, lo = value + w, y
+                diff[end] -= value
+                if value:
+                    line[1].append((d2, lo, end, x2, value))
+                    live += end - lo
     if k == 2:
-        # a child keeps no values and drops its new entry i next: the loop
-        # filed it under key i, and its cell moves to key 0, value i
-        cells = {i: row[0] for i, row in groups[0].items()}
-        groups[0] = defaultdict(dict, {0: cells} if cells else {})
-    return StateTable._from_groups(n + 1, k, groups, plan)
+        # a child keeps no values and drops its new entry i next: its runs
+        # are on key i, and its state is ((1,), (i,))
+        table = StateTable(n + 1, 2, {((1,), (i,)): w for line in lines.values()
+                                      for _d, lo, end, _x, w in line[1] for i in range(lo, end)})
+        table._plan = plan
+        return table
+    return StateTable.__new__(StateTable)._build(n + 1, k, lines, live, plan)
 
 
 def PackedAssignment(assignment: PatternAssignment, N: int) -> PatternAssignment:

@@ -33,3 +33,17 @@ def test_cluster_column_cross_checks_every_member(monkeypatch):
     assert (code, out) == (cli.EXIT_INCONSISTENT, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert err.endswith(" on 3142\n")
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["crosscheck", "", "--n", "10", "--cap", "9"], 9),
+    (["crosscheck", "", "--n", str(permcore.DEFAULT_PERM_CAP + 1)], permcore.DEFAULT_PERM_CAP),
+])
+def test_empty_family_refuses_the_cap_before_any_oracle_runs(monkeypatch, argv, cap):
+    def oracle(*args, **kwargs):
+        raise AssertionError("oracle ran before the cap was checked")
+
+    monkeypatch.setattr(permcore, "brute_weight_enum", oracle)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (cli.EXIT_CAP, "")
+    assert err == f"error: oracle limit: n={argv[3]} exceeds cap {cap}\n"

@@ -7,8 +7,11 @@ path with four tracked variables, a packed set with a pattern forbidden
 (no P_n(1) = n! check can catch a fault there), and a mixed-length
 cross-check.  The `crosscheck` commands after those were recorded from
 the release before `crosscheck` built its columns through the series
-router.  The benchmark's own commands are pinned in
-`test_reference_outputs.py`.
+router.  The last four were recorded from the release before the
+positive engine stored its tables as runs: the rows where a split gap
+reads expanded cells (avoided 2143 and 1324, tracked 2143 alone and with
+132 forbidden) and a mixed-length set.  The benchmark's own commands are
+pinned in `test_reference_outputs.py`.
 """
 
 import contextlib
@@ -45,6 +48,14 @@ PINNED = {
     # the empty set: the two spaces split to an empty pattern argument
     "crosscheck  --n 5 --format json":
         "c822b3a9b20494d87bb956c6cd12ea21219a802d68b4ff2cfa55b03ccd269013",
+    "count --avoid 2143;1324 --n 30 --format json":
+        "65bc18e1f805381c7b1417fc98bc533e5c5e22df45afbec59dde0ccc07726bd5",
+    "count --track 2143 --n 14 --engine positive --format json":
+        "881b87333a2d98b440030df82a12d8d8c216bdd93a955148fc44651ec47abe86",
+    "count --avoid 132 --track 2143 --n 12 --engine positive --format json":
+        "30593056246bb261d52725080d234b214c5a1360c67a9a62fde78469abb9ed73",
+    "count --avoid 132;4321 --n 20 --engine positive":
+        "59e7204085689348d5ec64a3c90d4ea4e98eeac4e37fbb78cc0d9345c0de8831",
 }
 
 
