@@ -3,7 +3,10 @@
 Two complementary polynomial-time engines, cross-validated against brute
 force: an incremental append evolution over suffix states (`positive_dp`)
 and a cluster-based inclusion-exclusion (`cluster_dp`), both over exact
-arbitrary-precision arithmetic (`weightring`).
+arbitrary-precision arithmetic (`weightring`).  Both build on the pattern
+primitives (`patterns`); the series router is `analysis`, the command line
+`cli`, with every command but `count` in `survey`.  The brute-force oracles
+and the reference forms of the engines live apart, in `permcore`.
 
 Importing the package loads none of its modules.  Each public name in
 `__all__` is looked up in its home module when it is first read (PEP 562),
@@ -16,36 +19,36 @@ __version__ = "0.1.0"
 
 # public name -> home module
 _HOME = {
-    "GrowthEstimate": "analysis",
     "SeriesReport": "analysis",
-    "cross_check": "analysis",
-    "growth_estimate": "analysis",
-    "hit_parade": "analysis",
     "assemble_counts": "cluster_dp",
     "cluster_polys": "cluster_dp",
-    "egf_identity_check": "cluster_dp",
-    "extend_cluster": "cluster_dp",
     "overlap_set": "cluster_dp",
-    "verify_321_equation": "cluster_dp",
+    "OracleLimitError": "patterns",
+    "complement": "patterns",
+    "occurrences": "patterns",
+    "parse_pattern": "patterns",
+    "parse_pattern_set": "patterns",
+    "reduction": "patterns",
+    "reverse": "patterns",
+    "symmetry_class": "patterns",
     "ClusterWitness": "permcore",
-    "OracleLimitError": "permcore",
+    "append_transition": "permcore",
     "brute_cluster_enum": "permcore",
     "brute_weight_enum": "permcore",
-    "complement": "permcore",
-    "occurrences": "permcore",
-    "parse_pattern": "permcore",
-    "parse_pattern_set": "permcore",
-    "reduction": "permcore",
-    "reverse": "permcore",
-    "symmetry_class": "permcore",
+    "egf_identity_check": "permcore",
+    "extend_cluster": "permcore",
+    "step_append": "permcore",
+    "verify_321_equation": "permcore",
     "weight_monomial": "permcore",
     "StateTable": "positive_dp",
-    "append_transition": "positive_dp",
     "enumerate_for_patterns": "positive_dp",
     "enumerate_series": "positive_dp",
     "init_table": "positive_dp",
-    "step_append": "positive_dp",
     "step_append_aggregated": "positive_dp",
+    "GrowthEstimate": "survey",
+    "cross_check": "survey",
+    "growth_estimate": "survey",
+    "hit_parade": "survey",
     "PatternAssignment": "weightring",
     "WeightPoly": "weightring",
 }

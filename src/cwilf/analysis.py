@@ -1,31 +1,45 @@
-"""Series routing, cross-method validation, growth estimation, and ranking.
+"""The series router behind `count`, `growth` and `hitparade`.
 
 One router, `_series`, serves `count`, `growth`, `hitparade` and every
 `crosscheck` column of a non-empty family: it alone picks the engine, the
 class label, the member list and the member that runs, guards the
-brute-force depth and runs the runtime checks.  The
-counting engines are exact; this module compares them against each other
-and against the brute-force oracles, estimates asymptotic growth from term
-ratios, and ranks the patterns of a given length by how many permutations
-avoid them.  Floats appear here and nowhere else.  Each route
-imports the engine it runs where it runs it, so a process that counts with
-one engine never loads the other, and only the routes that build
-polynomials (tracking, brute force, cross-checks) load the weight ring.
+brute-force depth and runs the runtime checks.  The engines are exact, and
+so is everything here.
+
+Each route imports the engine it runs where it runs it, so a process that
+counts with one engine never loads the other.  The weight ring
+(`weightring`) comes with the positive engine, whose factor table
+(`PatternAssignment`) lives there, and with the routes that build
+polynomials (tracking, brute force); the cluster engine's avoidance route
+never loads it.  Only brute force loads the reference side (`permcore`).
+
+Cross-checks, growth estimates and the hit parade live with the commands
+that use them (`survey`); their old names here resolve there on first read.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Sequence
 
-from . import permcore
-from .permcore import InconsistentResult
+from .patterns import (
+    DEFAULT_PERM_CAP,
+    InconsistentResult,
+    OracleLimitError,
+    format_pattern,
+    symmetry_class,
+)
 
-# Series depth mirroring what the engines are expected to sustain per
-# pattern length; single patterns run on the cluster engine at these
-# depths, pattern sets on the positive engine.
-DEFAULT_DEPTH = {3: 200, 4: 60, 5: 40, 6: 30}
+_SURVEY = frozenset(("CrossCheckReport", "DEFAULT_DEPTH", "GrowthEstimate", "cross_check",
+                     "growth_estimate", "hit_parade"))
+
+
+def __getattr__(name):
+    if name in _SURVEY:
+        from . import survey
+
+        return getattr(survey, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SeriesReport:
@@ -64,30 +78,6 @@ def term_texts(terms: Sequence) -> list[str]:
     return [term_text(t) for t in terms]
 
 
-class GrowthEstimate(namedtuple("GrowthEstimate", "estimate tail_ratios")):
-    """The refined limit and the last five raw ratios (floats)."""
-    __slots__ = ()
-
-
-def growth_estimate(counts: Sequence[int]) -> GrowthEstimate:
-    """Estimate lim a_n / (n * a_{n-1}) from an exact count sequence.
-
-    The raw ratios converge like L + O(1/n); one Richardson step
-    (n*r_n - (n-1)*r_{n-1}) removes the 1/n term.  The last five raw ratios
-    come along so callers can judge convergence themselves.
-    """
-    N = len(counts) - 1
-    if N < 10:
-        raise ValueError("need at least 11 terms")
-    if any(c <= 0 for c in counts):
-        raise ValueError("counts must be positive")
-    from fractions import Fraction
-
-    ratios = [Fraction(counts[n], n * counts[n - 1]) for n in range(1, N + 1)]
-    refined = N * ratios[-1] - (N - 1) * ratios[-2]
-    return GrowthEstimate(float(refined), [float(r) for r in ratios[-5:]])
-
-
 def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
                      engine: str = "auto", cap: int | None = None) -> SeriesReport:
     """Avoidance counts for sizes 0..N, with the engine recorded (`_series`)."""
@@ -106,9 +96,9 @@ def tracked_series(track: Sequence[Sequence[int]], avoid: Sequence[Sequence[int]
 def _refuse_above_cap(N: int, cap: int | None) -> None:
     """Refuse brute force to size N above the cap before it burns minutes on
     the sizes below (`OracleLimitError`)."""
-    limit = permcore.DEFAULT_PERM_CAP if cap is None else cap
+    limit = DEFAULT_PERM_CAP if cap is None else cap
     if N > limit:
-        raise permcore.OracleLimitError(f"oracle limit: n={N} exceeds cap {limit}")
+        raise OracleLimitError(f"oracle limit: n={N} exceeds cap {limit}")
 
 
 def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: int,
@@ -132,7 +122,7 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
     avoid = tuple(tuple(p) for p in avoid)
     track = tuple(tuple(p) for p in track)
     patterns = track + avoid
-    text = ";".join(permcore.format_pattern(p) for p in patterns)
+    text = ";".join(format_pattern(p) for p in patterns)
     if not patterns:
         terms = [1]
         for n in range(1, N + 1):
@@ -141,7 +131,7 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
     single = len(patterns) == 1
     if engine == "auto":
         engine = "cluster" if single else "positive"
-    members = (permcore.symmetry_class(patterns[0])
+    members = (symmetry_class(patterns[0])
                if single and (engine == "cluster" or not track) else patterns)
     rep = text
     if engine == "cluster":
@@ -150,13 +140,15 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
                              else "cluster engine handles a single pattern")
         from . import cluster_dp
 
-        rep = permcore.format_pattern(cluster_dp.choose_representative(patterns[0]))
+        rep = format_pattern(cluster_dp.choose_representative(patterns[0]))
         terms = _cluster_terms(patterns[0], N, bool(track))
     elif engine == "positive":
         from . import positive_dp
 
         terms = positive_dp.enumerate_for_patterns(avoid=avoid, track=track, N=N)
     elif engine == "brute":
+        from . import permcore
+
         _refuse_above_cap(N, cap)
         if len({len(p) for p in patterns}) == 1:
             from .weightring import PatternAssignment
@@ -175,7 +167,7 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
         _check_initial_terms(avoid, terms)
     elif not avoid:
         _check_first_moments(track, terms)
-    return SeriesReport(text, rep, tuple(map(permcore.format_pattern, members)), engine, terms)
+    return SeriesReport(text, rep, tuple(map(format_pattern, members)), engine, terms)
 
 
 def _cluster_terms(p: tuple[int, ...], N: int, tracked: bool) -> list:
@@ -197,8 +189,8 @@ def _cluster_terms(p: tuple[int, ...], N: int, tracked: bool) -> list:
         for n, (a, b) in enumerate(zip(at_zero, counts)):
             if a != b:
                 raise InconsistentResult(
-                    f"avoidance count a_{n} = {a} on {permcore.format_pattern(run)}, "
-                    f"{b} on {permcore.format_pattern(q)}")
+                    f"avoidance count a_{n} = {a} on {format_pattern(run)}, "
+                    f"{b} on {format_pattern(q)}")
     return terms
 
 
@@ -235,95 +227,5 @@ def _check_first_moments(track: Sequence[tuple[int, ...]], terms: Sequence[Weigh
             expected = (n - m + 1) * (fact // math.factorial(m)) if n >= m else 0
             if got != expected:
                 raise InconsistentResult(
-                    f"first moment of {permcore.format_pattern(p)} in P_{n}: {got}, "
+                    f"first moment of {format_pattern(p)} in P_{n}: {got}, "
                     f"expected {expected}")
-
-
-class CrossCheckReport:
-    """Every method's terms per size, and the sizes where they differ."""
-
-    def __init__(self, patterns: tuple[str, ...], n_max: int, methods: tuple[str, ...],
-                 rows: list[dict], discrepancies: list[dict] | None = None):
-        self.patterns = patterns
-        self.n_max = n_max
-        self.methods = methods
-        self.rows = rows                 # per n: {"n": n, "equal": bool, "terms": {...}}
-        self.discrepancies = [] if discrepancies is None else discrepancies
-
-    @property
-    def ok(self) -> bool:
-        return not self.discrepancies
-
-    @property
-    def first_discrepancy(self) -> dict | None:
-        return self.discrepancies[0] if self.discrepancies else None
-
-
-def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
-                cap: int | None = None) -> CrossCheckReport:
-    """Run every applicable method side by side and compare exactly.
-
-    Each column of a non-empty family is `_series` on one engine: a single
-    pattern is tracked on brute, positive and cluster and compared on its
-    occurrence polynomials, a set is avoided on brute and positive.  So the
-    router's up-front cap refusal (`OracleLimitError`) and its runtime
-    checks (`InconsistentResult`) apply; disagreements between the columns
-    are report content.  The empty family compares the window oracle and
-    the positive engine, with no pattern, against the factorials, and
-    refuses an n_max above the cap up front as well.
-    """
-    patterns = tuple(tuple(p) for p in patterns)
-    if patterns:
-        single = len(patterns) == 1
-        avoid, track = ((), patterns) if single else (patterns, ())
-        engines = ("brute", "positive", "cluster") if single else ("brute", "positive")
-        columns = {e: _series(avoid, track, n_max, e, cap).terms for e in engines}
-    else:
-        from . import positive_dp
-        from .weightring import PatternAssignment
-
-        _refuse_above_cap(n_max, cap)
-        assignment = PatternAssignment.all_one(2)
-        columns = {
-            "brute": [permcore.brute_weight_enum(n, 2, assignment, cap=cap)
-                      for n in range(n_max + 1)],
-            "positive": positive_dp.enumerate_series(2, assignment, n_max),
-            "factorial": _series((), (), n_max).terms,
-        }
-    methods = tuple(columns)
-    rows = []
-    discrepancies = []
-    for n, texts in enumerate(zip(*(term_texts(c) for c in columns.values()))):
-        terms = dict(zip(methods, texts))
-        equal = len(set(texts)) == 1
-        rows.append({"n": n, "equal": equal, "terms": terms})
-        if not equal:
-            discrepancies.append({"n": n, "terms": terms})
-    return CrossCheckReport(tuple(map(permcore.format_pattern, patterns)), n_max, methods,
-                            rows, discrepancies)
-
-
-def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:
-    """Rank the symmetry classes of length-k patterns by avoider count.
-
-    One row per class, sorted by the count at size N descending; each row
-    carries the class members, the lexicographically smallest as the
-    representative, the counts and a growth estimate.  Each class runs on
-    its cheapest member, checked against the others (`_series`).
-    """
-    if k not in DEFAULT_DEPTH:
-        raise ValueError(f"hit parade supports lengths {sorted(DEFAULT_DEPTH)}")
-    if N is None:
-        N = DEFAULT_DEPTH[k]
-    seen = set()
-    rows = []
-    for p in permcore.all_patterns(k):
-        if permcore.format_pattern(p) in seen:
-            continue
-        row = _series((p,), (), N, "cluster")
-        seen.update(row.members)
-        row.growth = growth_estimate(row.terms).estimate if N >= 10 else None
-        row.checks = {"count_at": N}
-        rows.append(row)
-    rows.sort(key=lambda r: (-r.terms[-1], r.pattern))
-    return rows

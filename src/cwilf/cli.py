@@ -17,6 +17,11 @@ disagree on its counts at t = 0, avoided or tracked, 130 interrupted
 one call into the router (`analysis._series`), `crosscheck` one per engine
 it compares, and terms of any length print: `main` lifts Python's
 int-to-text digit limit.
+
+Only `count` is handled here.  The other four commands live in `survey`,
+which `main` imports when one of them runs, so a `count` process compiles
+the parser, the router, the pattern primitives and its engine, and no other
+command's code.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ import os
 import sys
 from collections.abc import Sequence
 
-from . import analysis, permcore
-from .permcore import InconsistentResult
+from . import analysis
+from .patterns import InconsistentResult, OracleLimitError, parse_pattern_set
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,8 +129,8 @@ def _series_text(terms) -> str:
 
 
 def _cmd_count(args) -> int:
-    avoid = permcore.parse_pattern_set(args.avoid)
-    track = permcore.parse_pattern_set(args.track)
+    avoid = parse_pattern_set(args.avoid)
+    track = parse_pattern_set(args.track)
     if set(avoid) & set(track):
         raise ValueError("a pattern cannot be both avoided and tracked")
     report = analysis._series(avoid, track, args.n, args.engine, _resolve_cap(args))
@@ -136,98 +141,18 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _cmd_clusters(args) -> int:
-    p = permcore.parse_pattern(args.pattern)
-    from . import cluster_dp
-    from .weightring import term_text
+def _survey(args) -> int:
+    from . import survey
 
-    terms = cluster_dp.cluster_polys(p, args.n)
-    if args.format == "json":
-        report = analysis.SeriesReport(
-            pattern=permcore.format_pattern(p),
-            representative=permcore.format_pattern(cluster_dp.choose_representative(p)),
-            members=tuple(permcore.format_pattern(q) for q in permcore.symmetry_class(p)),
-            method="cluster",
-            terms=terms,
-        )
-        _emit_json(report.to_json_dict())
-    else:
-        for n, c in enumerate(terms):
-            _emit(f"C[{n}] = {term_text(c)}")
-    return EXIT_OK
-
-
-def _cmd_crosscheck(args) -> int:
-    if args.all_s3:
-        pattern_sets = [(p,) for p in permcore.all_patterns(3)]
-    elif args.patterns is not None:
-        pattern_sets = [permcore.parse_pattern_set(args.patterns)]
-    else:
-        raise ValueError("crosscheck needs a pattern set or --all-s3")
-    cap = _resolve_cap(args)
-    reports = [analysis.cross_check(ps, args.n, cap=cap) for ps in pattern_sets]
-    total = sum(len(r.discrepancies) for r in reports)
-    if args.format == "json":
-        checks = {
-            "n": args.n,
-            "discrepancies": total,
-            "methods": sorted({m for r in reports for m in r.methods}),
-            "first": next((r.first_discrepancy for r in reports if not r.ok), None),
-        }
-        pattern = " | ".join(";".join(r.patterns) for r in reports)
-        _emit_json(analysis.SeriesReport(pattern, None, (), "crosscheck", [],
-                                         checks=checks).to_json_dict())
-    else:
-        if total == 0:
-            _emit(f"OK: {total} discrepancies")
-        else:
-            _emit(f"FAIL: {total} discrepancies")
-            for r in reports:
-                for d in r.discrepancies:
-                    _emit(f"  patterns={';'.join(r.patterns)} n={d['n']} {d['terms']}")
-    if total and args.strict:
-        return EXIT_INCONSISTENT
-    return EXIT_OK
-
-
-def _cmd_hitparade(args) -> int:
-    k = args.k if args.k is not None else args.k_flag
-    if k is None:
-        raise ValueError("hitparade needs a pattern length")
-    rows = analysis.hit_parade(k, args.n)
-    if args.format == "json":
-        _emit_json([r.to_json_dict() for r in rows])
-    else:
-        n = rows[0].checks["count_at"]
-        _emit(f"rank  class         members                       count(n={n})  growth")
-        for rank, row in enumerate(rows, start=1):
-            members = ",".join(row.members)
-            growth = "n/a" if row.growth is None else f"{row.growth:.6f}"
-            _emit(f"{rank:<5} {row.pattern:<13} {members:<29} {row.terms[-1]}  {growth}")
-    return EXIT_OK
-
-
-def _cmd_growth(args) -> int:
-    p = permcore.parse_pattern(args.pattern)
-    report = analysis.avoidance_series((p,), args.n, engine="auto", cap=_resolve_cap(args))
-    est = analysis.growth_estimate(report.terms)
-    if args.format == "json":
-        out = report.to_json_dict()
-        out["growth"] = est.estimate
-        out["checks"] = {"tail_ratios": est.tail_ratios}
-        _emit_json(out)
-    else:
-        _emit(f"growth = {est.estimate!r}")
-        _emit("tail ratios: " + ", ".join(repr(r) for r in est.tail_ratios))
-    return EXIT_OK
+    return survey.HANDLERS[args.command](args)
 
 
 _HANDLERS = {
     "count": _cmd_count,
-    "clusters": _cmd_clusters,
-    "crosscheck": _cmd_crosscheck,
-    "hitparade": _cmd_hitparade,
-    "growth": _cmd_growth,
+    "clusters": _survey,
+    "crosscheck": _survey,
+    "hitparade": _survey,
+    "growth": _survey,
 }
 
 
@@ -249,7 +174,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except permcore.OracleLimitError as exc:
+    except OracleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except InconsistentResult as exc:

@@ -37,22 +37,32 @@ but not the same tables: to n=200, 1423's tables hold 323,494 states and
 take 134 times the `_spread` work of 3241's 19,495.  `rank_orientations`
 probes each member at a shallow depth and orders them by the work their
 tables took.
+
+The explicit one-atom extension, the ending-cluster chop and the identity
+checks that test these tables live on the reference side (`permcore`);
+their old names here resolve there on first read.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
-from .permcore import (
-    format_pattern,
-    is_permutation,
-    occurrences,
-    reduction,
-    symmetry_class,
-)
+from .patterns import is_permutation, reduction, symmetry_class
+
+# reference code defined in `permcore`, importable from here too (PEP 562)
+_REFERENCE = frozenset((
+    "EgfReport", "Normalization", "Report321", "_completions", "_negate_var", "_t_coeffs",
+    "egf_identity_check", "extend_cluster", "split_ending_cluster", "verify_321_equation"))
+
+
+def __getattr__(name):
+    if name in _REFERENCE:
+        from . import permcore
+
+        return getattr(permcore, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_pattern(p: Sequence[int]) -> tuple[int, ...]:
@@ -99,63 +109,6 @@ def _extension_slots(p: tuple[int, ...], m: int):
         bump = sum(1 for b in free if b < slot)
         fixed.append((slot, source, bump))
     return tuple(fixed), free
-
-
-def _completions(fixed_vals: dict[int, int], k: int, max_val: int) -> Iterator[tuple[int, ...]]:
-    """All strictly increasing k-tuples in [1, max_val] extending fixed_vals."""
-    next_fixed = [None] * (k + 2)
-    upcoming = None
-    for pos in range(k, 0, -1):
-        next_fixed[pos] = upcoming
-        if pos in fixed_vals:
-            upcoming = pos
-    acc: list[int] = []
-
-    def rec(pos: int, prev: int):
-        if pos > k:
-            yield tuple(acc)
-            return
-        fixed = fixed_vals.get(pos)
-        if fixed is not None:
-            if fixed <= prev or fixed > max_val:
-                return
-            acc.append(fixed)
-            yield from rec(pos + 1, fixed)
-            acc.pop()
-            return
-        hi = max_val - (k - pos)
-        nf = next_fixed[pos]
-        if nf is not None:
-            hi = min(hi, fixed_vals[nf] - (nf - pos))
-        for v in range(prev + 1, hi + 1):
-            acc.append(v)
-            yield from rec(pos + 1, v)
-            acc.pop()
-
-    yield from rec(1, 0)
-
-
-def extend_cluster(state: Sequence[int], n: int, m: int,
-                   p: Sequence[int]) -> list[tuple[int, ...]]:
-    """All last-atom value tuples reachable by attaching one atom.
-
-    The new atom shares its first m positions with the old atom's last m;
-    its remaining values may sit anywhere that keeps the new window an
-    occurrence.  Each returned tuple is one cluster extension; on the full
-    sorted state, this is the reference for `cluster_tables`.
-    """
-    p = _check_pattern(p)
-    k = len(p)
-    if m not in overlap_set(p):
-        raise ValueError(f"overlap {m} is not admissible for {format_pattern(p)}")
-    state = tuple(state)
-    if len(state) != k or any(state[i] >= state[i + 1] for i in range(k - 1)) \
-            or state[0] < 1 or state[-1] > n:
-        raise ValueError(f"invalid cluster state {state} at length {n}")
-    target_n = n + k - m
-    fixed, _free = _extension_slots(p, m)
-    fixed_vals = {slot: state[src - 1] + bump for slot, src, bump in fixed}
-    return list(_completions(fixed_vals, k, target_n))
 
 
 @lru_cache(maxsize=None)
@@ -373,151 +326,6 @@ def _chop(C: Sequence, k: int) -> list:
     return terms
 
 
-# -- identity checks -----------------------------------------------------------
-
-def _t_coeffs(w) -> dict[int, int]:
-    from .weightring import WeightPoly
-
-    if isinstance(w, WeightPoly):
-        if w.nvars == 0:
-            v = w.constant_value()
-            return {0: v} if v else {}
-        if w.nvars != 1:
-            raise ValueError("expected a univariate term")
-        return {e[0]: c for e, c in w.items()}
-    return {0: w} if w else {}
-
-
-class EgfReport(namedtuple("EgfReport", "order residuals")):
-    """Per-order residuals of F * (1 - z - G) - 1, exact rationals."""
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(not r for r in self.residuals)
-
-
-def egf_identity_check(P: Sequence, C: Sequence, N: int) -> EgfReport:
-    """Check that the count and cluster series satisfy F = 1/(1 - z - G).
-
-    F and G are the exponential generating functions of P_n(t) and C_n(t);
-    the product F*(1 - z - G) must be exactly 1 through order N.
-    """
-    if len(P) < N + 1 or len(C) < N + 1:
-        raise ValueError("series too short for requested order")
-    from fractions import Fraction
-
-    f = []
-    h = []
-    for n in range(N + 1):
-        inv = Fraction(1, math.factorial(n))
-        f.append({e: c * inv for e, c in _t_coeffs(P[n]).items()})
-        hn = {e: -c * inv for e, c in _t_coeffs(C[n]).items()}
-        if n == 0:
-            hn[0] = hn.get(0, Fraction(0)) + 1
-        elif n == 1:
-            hn[0] = hn.get(0, Fraction(0)) - 1
-        h.append({e: c for e, c in hn.items() if c})
-    residuals = []
-    for n in range(N + 1):
-        acc: dict[int, Fraction] = {}
-        for i in range(n + 1):
-            fi, hj = f[i], h[n - i]
-            if not fi or not hj:
-                continue
-            for e1, c1 in fi.items():
-                for e2, c2 in hj.items():
-                    e = e1 + e2
-                    acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        if n == 0:
-            acc[0] = acc.get(0, Fraction(0)) - 1
-        residuals.append({e: c for e, c in acc.items() if c})
-    return EgfReport(N, residuals)
-
-
-def _negate_var(poly: WeightPoly) -> WeightPoly:
-    from .weightring import WeightPoly
-
-    return WeightPoly(1, {e: (-c if e[0] % 2 else c) for e, c in poly.items()})
-
-
-class Normalization(namedtuple("Normalization",
-                               "sign shift negate_u verified_to residual_orders")):
-    """A candidate alignment g = sign * z^shift * c, with u negated if negate_u.
-
-    residual_orders lists the orders up to verified_to where it fails.
-    """
-    __slots__ = ()
-
-    @property
-    def exact(self) -> bool:
-        return not self.residual_orders
-
-
-class Report321:
-    """Outcome of matching the decreasing-triple cluster series against
-    the closed algebraic equation g = -(t-1)z^2 - (t-1)(z+z^2)g."""
-
-    def __init__(self, order: int, candidates: list[Normalization] | None = None):
-        self.order = order
-        self.candidates = [] if candidates is None else candidates
-
-    @property
-    def matches(self) -> list[Normalization]:
-        return [c for c in self.candidates if c.exact]
-
-    @property
-    def ok(self) -> bool:
-        return len(self.matches) == 1
-
-
-def verify_321_equation(N: int) -> Report321:
-    """Match the computed 321 cluster series against the algebraic equation.
-
-    The equation is solved as a power series g_n = -u*[n=2] - u*(g_{n-1} +
-    g_{n-2}) in u = t - 1.  The series are then aligned by searching a
-    normalization g = sign * z^shift * c, optionally with u negated; every
-    candidate that matches the lowest nonzero coefficient is verified to
-    order N and reported with its residual orders.
-    """
-    if N < 5:
-        raise ValueError("N must be at least 5")
-    from .weightring import WeightPoly
-
-    u = WeightPoly.variable(0, 1)
-    zero = WeightPoly.zero(1)
-    g = [zero, zero]
-    for n in range(2, N + 1):
-        gn = -(u * (g[n - 1] + g[n - 2]))
-        if n == 2:
-            gn = gn - u
-        g.append(gn)
-    # extra orders of c so every shift in the grid is verifiable through N
-    c = cluster_polys_shifted((3, 2, 1), N + 2)
-    g0 = next(n for n in range(N + 1) if g[n])
-    c0 = next(n for n in range(N + 3) if c[n])
-    report = Report321(N)
-    for sign in (1, -1):
-        for shift in range(-2, 3):
-            if c0 + shift != g0:
-                continue
-            for negate in (False, True):
-                def mapped(n):
-                    i = n - shift
-                    if not 0 <= i < len(c):
-                        return zero
-                    poly = _negate_var(c[i]) if negate else c[i]
-                    return poly if sign == 1 else -poly
-
-                if g[g0] != mapped(g0):
-                    continue
-                bad = tuple(n for n in range(N + 1) if g[n] != mapped(n))
-                report.candidates.append(
-                    Normalization(sign, shift, negate, N, bad)
-                )
-    return report
-
-
 # -- symmetry representative and orientation ------------------------------------
 
 def choose_representative(p: Sequence[int]) -> tuple[int, ...]:
@@ -563,36 +371,3 @@ def choose_orientation(p: Sequence[int], N: int) -> tuple[int, ...]:
     """The member of p's symmetry class to run to size N: the cheapest by
     `rank_orientations`' probe, no timing involved."""
     return rank_orientations(p, N)[0][1]
-
-
-# -- ending-cluster decomposition -----------------------------------------------
-
-def split_ending_cluster(pi: Sequence[int], starts: Sequence[int],
-                         p: Sequence[int]):
-    """Chop the maximal overlapping suffix chain of marked occurrences.
-
-    Given a permutation and marked occurrence starts of p whose last window
-    ends at the last position, returns (remainder values, remainder starts,
-    ending-cluster starts).  The remainder keeps its original values; the
-    ending cluster's windows occupy a contiguous final block.
-    """
-    pi = tuple(pi)
-    p = _check_pattern(p)
-    k = len(p)
-    starts = tuple(starts)
-    if not starts:
-        raise ValueError("no marked occurrences")
-    occ = set(occurrences(pi, p))
-    for s in starts:
-        if s not in occ:
-            raise ValueError(f"start {s} is not an occurrence")
-    if any(a >= b for a, b in zip(starts, starts[1:])):
-        raise ValueError("starts must be strictly increasing")
-    if starts[-1] + k - 1 != len(pi):
-        raise ValueError("last marked window must end at the last position")
-    i = len(starts) - 1
-    while i > 0 and starts[i] - starts[i - 1] <= k - 1:
-        i -= 1
-    ending = starts[i:]
-    remainder = pi[:ending[0] - 1]
-    return remainder, starts[:i], ending

@@ -12,7 +12,7 @@ of which gap between consecutive j-values the new rank lands in; the window's
 factor (0, 1, or a tracked variable) multiplies the weight.
 
 A table is stored in the groups that the next append reads (`StateTable`).
-`step_append` loops over every child rank i and is the reference.
+`permcore.step_append` loops over every child rank i and is the reference.
 `step_append_aggregated` pulls each child from its one group of parents:
 all children of a group in one gap weigh the same, so the step writes one
 run per group and gap, split only where a factor changes inside it.  The
@@ -50,10 +50,22 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, lshift, mul, sub
 
-from .permcore import all_patterns, reduction
+from .patterns import all_patterns, reduction
 from .weightring import PatternAssignment, WeightPoly, as_weight_poly, packing_layout, unpack
 
 State = tuple[tuple[int, ...], tuple[int, ...]]
+
+# the per-rank reference step, defined in `permcore`, importable from here too
+_REFERENCE = frozenset(("append_transition", "state_of", "step_append"))
+
+
+def __getattr__(name):
+    if name in _REFERENCE:
+        from . import permcore
+
+        return getattr(permcore, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Most tracked variables packed into one integer.  A layout for exponents up
 # to E spans (E+1)^v digits, while the polynomial has at most C(E+v, v)
@@ -213,15 +225,6 @@ def _new_line(stride: int, size: int, k: int) -> list:
     return [stride, [], *([0] * size for _ in range(k - 1))]
 
 
-def state_of(pi: Sequence[int], k: int) -> State:
-    """The suffix state of an explicit permutation."""
-    pi = tuple(pi)
-    if len(pi) < k - 1:
-        raise ValueError("permutation shorter than k-1")
-    tail = pi[len(pi) - (k - 1):]
-    return reduction(tail), tuple(sorted(tail))
-
-
 def init_table(k: int) -> StateTable:
     """The table at size k-1: one cell per suffix pattern, weight 1.
 
@@ -233,39 +236,6 @@ def init_table(k: int) -> StateTable:
     base = tuple(range(1, k))
     cells: dict[State, object] = {(q, base): 1 for q in all_patterns(k - 1)}
     return StateTable(k - 1, k, cells)
-
-
-def append_transition(state: State, n: int, i: int, assignment) -> tuple[State, object]:
-    """Append rank i to a size-n suffix state; new state and gained factor.
-
-    Reconstructs the last k-1 values, shifts those >= i, reads off the new
-    window's pattern, and drops the oldest entry.
-    """
-    q, j = state
-    k = len(q) + 1
-    if not 1 <= i <= n + 1:
-        raise ValueError(f"append rank {i} out of range 1..{n + 1}")
-    values = [j[r - 1] for r in q]
-    shifted = [v + 1 if v >= i else v for v in values]
-    gained = reduction(shifted + [i])
-    new_last = shifted[1:] + [i]
-    new_state = (reduction(new_last), tuple(sorted(new_last)))
-    return new_state, assignment.factor(gained)
-
-
-def step_append(table: StateTable, assignment) -> StateTable:
-    """Reference step: every cell spawns one child per rank i in 1..n+1."""
-    n = table.n
-    cells: dict[State, object] = {}
-    for state, w in table.cells.items():
-        for i in range(1, n + 2):
-            new_state, f = append_transition(state, n, i, assignment)
-            if f == 0:
-                continue
-            contrib = w if f == 1 else w * f
-            prev = cells.get(new_state)
-            cells[new_state] = contrib if prev is None else prev + contrib
-    return StateTable(n + 1, table.k, {s: w for s, w in cells.items() if w})
 
 
 def _with_rank(ranks: tuple, g: int) -> tuple:
@@ -354,7 +324,7 @@ def _at_width(plan: list, k: int, width: int, child: int) -> list:
 
 
 def step_append_aggregated(table: StateTable, assignment) -> StateTable:
-    """Same contract as `step_append`, pulled from retained-value groups.
+    """Same contract as `permcore.step_append`, pulled from retained-value groups.
 
     A group's children come from no other group, and in its gap p only the
     new entry i varies: x2 is fixed, the key steps with i, and the weight is

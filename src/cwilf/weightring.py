@@ -28,8 +28,16 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
-from .permcore import InconsistentResult  # re-exported: PackingOverflow is one
-from .permcore import all_patterns, is_permutation, reduction
+from .patterns import InconsistentResult  # re-exported: PackingOverflow is one
+from .patterns import all_patterns, is_permutation, reduction
+
+
+def __getattr__(name):
+    if name == "pack":  # defined in `permcore`, importable from here too
+        from . import permcore
+
+        return permcore.pack
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class WeightPoly:
@@ -126,6 +134,8 @@ class WeightPoly:
         return NotImplemented
 
     def __add__(self, other):
+        if isinstance(other, int) and not other:
+            return self  # immutable: adding 0 (running sums start there) shares it
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -144,6 +154,8 @@ class WeightPoly:
         return WeightPoly(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
+        if isinstance(other, int) and not other:
+            return self
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -298,13 +310,6 @@ class Packing(namedtuple("Packing", "nvars bits stride")):
 def packing_layout(nvars: int, coeff_bound: int, degree_bound: int) -> Packing:
     """The layout for coefficients in [0, coeff_bound], exponents <= degree_bound."""
     return Packing(nvars, coeff_bound.bit_length() + 1, degree_bound + 1)
-
-
-def pack(weight, layout: Packing) -> int:
-    """A weight's value at the layout's point; plain integers pass through."""
-    if not isinstance(weight, WeightPoly):
-        return weight
-    return weight.evaluate([layout.variable(i) for i in range(layout.nvars)])
 
 
 def unpack(value: int, layout: Packing, mass: int | None = None) -> WeightPoly:

@@ -407,3 +407,12 @@ def test_clusters_and_count_name_the_same_class():
 def test_every_command_refuses_negative_n(argv):
     code, out, err = run_cli([*argv, "--n", "-1"])
     assert (code, out, err) == (cli.EXIT_USAGE, "", "error: --n must be nonnegative\n")
+
+
+def test_hitparade_refuses_two_different_lengths():
+    code, out, err = run_cli(["hitparade", "3", "--k", "4", "--n", "5"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # the same length given both ways is one length
+    assert run_cli(["hitparade", "3", "--k", "3", "--n", "12"]) == run_cli(
+        ["hitparade", "3", "--n", "12"])

@@ -230,3 +230,13 @@ def test_each_occurrence_counts_once():
                     if a is packed:
                         got = unpack(got, layout)
                     assert got == expected, (avoid, track, pi)
+
+
+def test_adding_int_zero_returns_the_polynomial():
+    # running sums start at 0: p + 0, 0 + p and p - 0 share p, 0 - p is -p
+    p = WeightPoly(2, {(1, 0): 3, (0, 2): -1, (0, 0): 5})
+    assert p + 0 is p and 0 + p is p and p - 0 is p
+    assert p + 0 == p and 0 + p == p and p - 0 == p
+    assert 0 - p == -p and (0 - p) + p == 0
+    zero = WeightPoly.zero(1)
+    assert zero + 0 is zero and 0 - zero == zero
