@@ -14,7 +14,7 @@ polynomials (tracking, brute force); the cluster engine's avoidance route
 never loads it.  Only brute force loads the reference side (`permcore`).
 
 Cross-checks, growth estimates and the hit parade live with the commands
-that use them (`survey`); their old names here resolve there on first read.
+that use them (`survey`).
 """
 
 from __future__ import annotations
@@ -29,18 +29,6 @@ from .patterns import (
     format_pattern,
     symmetry_class,
 )
-
-_SURVEY = frozenset(("CrossCheckReport", "DEFAULT_DEPTH", "GrowthEstimate", "cross_check",
-                     "growth_estimate", "hit_parade"))
-
-
-def __getattr__(name):
-    if name in _SURVEY:
-        from . import survey
-
-        return getattr(survey, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class SeriesReport:
     """One pattern (or pattern set) with its computed series and metadata."""

@@ -39,8 +39,7 @@ probes each member at a shallow depth and orders them by the work their
 tables took.
 
 The explicit one-atom extension, the ending-cluster chop and the identity
-checks that test these tables live on the reference side (`permcore`);
-their old names here resolve there on first read.
+checks that test these tables live on the reference side (`permcore`).
 """
 
 from __future__ import annotations
@@ -50,20 +49,6 @@ from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from .patterns import is_permutation, reduction, symmetry_class
-
-# reference code defined in `permcore`, importable from here too (PEP 562)
-_REFERENCE = frozenset((
-    "EgfReport", "Normalization", "Report321", "_completions", "_negate_var", "_t_coeffs",
-    "egf_identity_check", "extend_cluster", "split_ending_cluster", "verify_321_equation"))
-
-
-def __getattr__(name):
-    if name in _REFERENCE:
-        from . import permcore
-
-        return getattr(permcore, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def _check_pattern(p: Sequence[int]) -> tuple[int, ...]:
     p = tuple(p)
@@ -288,12 +273,6 @@ def binomial_row(n: int) -> tuple[int, ...]:
     return _PASCAL_ROWS[n]
 
 
-def binomial(n: int, r: int) -> int:
-    if r < 0 or r > n:
-        return 0
-    return binomial_row(n)[r]
-
-
 def assemble_counts(p: Sequence[int], N: int, t_value=None) -> list:
     """P_0..P_N from the cluster enumerators via the chopping recurrence.
 
@@ -332,8 +311,8 @@ def choose_representative(p: Sequence[int]) -> tuple[int, ...]:
     """The lexicographically smallest member of p's symmetry class.
 
     This is the class label reports carry.  The member that runs is
-    `choose_orientation`'s: counts are identical across the class, but the
-    work is not.  The overlap set is the same for every member (reverse
+    `rank_orientations`' first: counts are identical across the class, but
+    the work is not.  The overlap set is the same for every member (reverse
     and complement preserve it), so it cannot rank them.
     """
     return min(symmetry_class(_check_pattern(p)))
@@ -365,9 +344,3 @@ def rank_orientations(p: Sequence[int], N: int) -> list[tuple]:
             clusters[n] = sum(table.values())
         ranked.append((work[0], q, _chop(clusters, k)))
     return sorted(ranked)
-
-
-def choose_orientation(p: Sequence[int], N: int) -> tuple[int, ...]:
-    """The member of p's symmetry class to run to size N: the cheapest by
-    `rank_orientations`' probe, no timing involved."""
-    return rank_orientations(p, N)[0][1]

@@ -16,9 +16,9 @@ exists to validate the engines, so it must stay independent of them:
   algebraic equation of the 321 cluster series;
 - `pack`, a polynomial's value at a packing layout's point.
 
-The primitives (`reduction`, `symmetry_class`, the parsers, the exceptions,
-the caps) live in `patterns` and are re-exported here.  The engines,
-and the weight ring, are imported where a function here runs them.
+The primitives it uses (`reduction`, `occurrences`, the caps, ...) come
+from `patterns`.  The engines, and the weight ring, are imported where a
+function here runs them.
 """
 
 from __future__ import annotations
@@ -29,21 +29,15 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 
-from .patterns import (  # re-exported: the primitives' old home
+from .patterns import (
     DEFAULT_CLUSTER_CAP,
     DEFAULT_PERM_CAP,
-    InconsistentResult,
     OracleLimitError,
     all_patterns,
-    complement,
     format_pattern,
     is_permutation,
     occurrences,
-    parse_pattern,
-    parse_pattern_set,
     reduction,
-    reverse,
-    symmetry_class,
 )
 
 

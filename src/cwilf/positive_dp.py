@@ -55,18 +55,6 @@ from .weightring import PatternAssignment, WeightPoly, as_weight_poly, packing_l
 
 State = tuple[tuple[int, ...], tuple[int, ...]]
 
-# the per-rank reference step, defined in `permcore`, importable from here too
-_REFERENCE = frozenset(("append_transition", "state_of", "step_append"))
-
-
-def __getattr__(name):
-    if name in _REFERENCE:
-        from . import permcore
-
-        return getattr(permcore, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # Most tracked variables packed into one integer.  A layout for exponents up
 # to E spans (E+1)^v digits, while the polynomial has at most C(E+v, v)
 # terms, about v! times fewer.  Up to three variables the packed table is
@@ -431,9 +419,6 @@ def build_assignment(avoid: Sequence = (), track: Sequence = ()) -> PatternAssig
     if track:
         return PatternAssignment.tracking(track, zero=avoid)
     return PatternAssignment.avoiding(avoid)
-
-
-LiftedAssignment = build_assignment  # one class serves mixed lengths too
 
 
 def enumerate_for_patterns(avoid: Sequence = (), track: Sequence = (),

@@ -13,8 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from . import analysis
-from .analysis import SeriesReport, _refuse_above_cap, _series, term_texts
+from .analysis import SeriesReport, _refuse_above_cap, _series, avoidance_series, term_texts
 from .cli import EXIT_INCONSISTENT, EXIT_OK, _emit, _emit_json, _resolve_cap
 from .patterns import (
     all_patterns,
@@ -175,8 +174,7 @@ def _cmd_crosscheck(args) -> int:
     else:
         raise ValueError("crosscheck needs a pattern set or --all-s3")
     cap = _resolve_cap(args)
-    # read through `analysis` at call time, where callers may replace it
-    reports = [analysis.cross_check(ps, args.n, cap=cap) for ps in pattern_sets]
+    reports = [cross_check(ps, args.n, cap=cap) for ps in pattern_sets]
     total = sum(len(r.discrepancies) for r in reports)
     if args.format == "json":
         checks = {
@@ -222,7 +220,7 @@ def _cmd_hitparade(args) -> int:
 
 def _cmd_growth(args) -> int:
     p = parse_pattern(args.pattern)
-    report = analysis.avoidance_series((p,), args.n, engine="auto", cap=_resolve_cap(args))
+    report = avoidance_series((p,), args.n, engine="auto", cap=_resolve_cap(args))
     est = growth_estimate(report.terms)
     if args.format == "json":
         out = report.to_json_dict()

@@ -28,16 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
-from .patterns import InconsistentResult  # re-exported: PackingOverflow is one
-from .patterns import all_patterns, is_permutation, reduction
-
-
-def __getattr__(name):
-    if name == "pack":  # defined in `permcore`, importable from here too
-        from . import permcore
-
-        return permcore.pack
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .patterns import InconsistentResult, all_patterns, is_permutation, reduction
 
 
 class WeightPoly:
@@ -197,17 +188,6 @@ class WeightPoly:
             base = base * base
             e >>= 1
         return result
-
-    def mul_var(self, index: int, power: int = 1) -> "WeightPoly":
-        """Multiply by one variable, i.e. shift its exponent."""
-        if not 0 <= index < self.nvars:
-            raise ValueError(f"variable index {index} out of range")
-        terms = {}
-        for exps, coeff in self._terms.items():
-            shifted = list(exps)
-            shifted[index] += power
-            terms[tuple(shifted)] = coeff
-        return WeightPoly(self.nvars, terms)
 
     # -- evaluation and display --------------------------------------------
 
@@ -434,17 +414,6 @@ class PatternAssignment:
     def suffix_factor(self, suffix: tuple):
         """The weight factor of the occurrences inside a retained suffix."""
         return self.suffix_factors[suffix]
-
-    def apply(self, pattern: tuple, weight):
-        """Multiply a weight by the factor of one pattern."""
-        f = self.factor(pattern)
-        if f == 1:
-            return weight
-        return weight * f
-
-    def items(self):
-        """All (pattern, factor) pairs over the length-k patterns."""
-        return self.factors.items()
 
 
 def term_text(weight) -> str:

@@ -2,7 +2,7 @@
 
 import itertools
 
-from cwilf import permcore
+from cwilf import cluster_dp, patterns
 from cwilf.positive_dp import StateTable
 from cwilf.weightring import WeightPoly
 
@@ -17,7 +17,7 @@ def random_poly(rng, nvars, max_terms=5, max_exp=4, max_coeff=30):
 
 def random_cells(rng, k, n, nvars=1, cells=12):
     """Arbitrary (not necessarily reachable) valid nonzero cells of size n."""
-    pats = permcore.all_patterns(k - 1)
+    pats = patterns.all_patterns(k - 1)
     table = {}
     for _ in range(cells):
         q = pats[rng.randrange(len(pats))]
@@ -45,7 +45,7 @@ def filtering_cluster_enum(n, p):
     t_minus_1 = WeightPoly(1, {(1,): 1, (0,): -1})
     total = WeightPoly.zero(1)
     for pi in itertools.permutations(range(1, n + 1)):
-        occ = permcore.occurrences(pi, p)
+        occ = patterns.occurrences(pi, p)
         for r in range(1, len(occ) + 1):
             for sub in itertools.combinations(occ, r):
                 if sub[0] != 1 or sub[-1] + k - 1 != n:
@@ -61,3 +61,9 @@ def factorials(N):
     for n in range(1, N + 1):
         out.append(out[-1] * n)
     return out
+
+
+def choose_orientation(p, N):
+    """The member of p's symmetry class that the cluster route runs to size N:
+    the first of `cluster_dp.rank_orientations`."""
+    return cluster_dp.rank_orientations(p, N)[0][1]

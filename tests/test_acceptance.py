@@ -9,31 +9,25 @@ import random
 import time
 from contextlib import contextmanager
 
-from cwilf import analysis, cluster_dp, permcore, positive_dp
+from cwilf import analysis, patterns, survey
 from cwilf.cluster_dp import (
     assemble_counts,
     cluster_polys,
     cluster_polys_shifted,
-    egf_identity_check,
-    split_ending_cluster,
-    verify_321_equation,
     _extension_slots,
 )
+from cwilf.patterns import all_patterns, reduction, symmetry_class
 from cwilf.permcore import (
-    all_patterns,
     brute_cluster_enum,
     brute_weight_enum,
-    reduction,
-    symmetry_class,
-    weight_monomial,
-)
-from cwilf.positive_dp import (
-    enumerate_series,
-    init_table,
+    egf_identity_check,
+    split_ending_cluster,
     state_of,
     step_append,
-    step_append_aggregated,
+    verify_321_equation,
+    weight_monomial,
 )
+from cwilf.positive_dp import enumerate_series, step_append_aggregated
 from cwilf.weightring import PatternAssignment, WeightPoly
 from helpers import factorials, random_poly, random_state_table
 
@@ -97,11 +91,11 @@ def test_c3_worked_examples_bit_exact():
             (1, 2, 3): 1, (2, 3, 1): 2, (3, 1, 2): 1}
         assert state_of((4, 7, 1, 6, 3, 5, 8, 2), 3) == ((2, 1), (2, 8))
         pi = (1, 7, 9, 2, 3, 4, 5, 6, 8)
-        assert permcore.occurrences(pi, (1, 2, 3)) == (1, 4, 5, 6, 7)
-        assert permcore.occurrences(pi, (2, 3, 1)) == (2,)
-        assert permcore.occurrences(pi, (3, 1, 2)) == (3,)
+        assert patterns.occurrences(pi, (1, 2, 3)) == (1, 4, 5, 6, 7)
+        assert patterns.occurrences(pi, (2, 3, 1)) == (2,)
+        assert patterns.occurrences(pi, (3, 1, 2)) == (3,)
         for p in [(1, 3, 2), (2, 1, 3), (3, 2, 1)]:
-            assert permcore.occurrences(pi, p) == ()
+            assert patterns.occurrences(pi, p) == ()
         remainder, rest, ending = split_ending_cluster(
             (1, 5, 7, 4, 2, 3, 6, 8, 9), (1, 5, 6, 7), (1, 2, 3))
         assert ending == (5, 6, 7)
@@ -192,8 +186,8 @@ def test_c8_property_suites():
 def test_c9_growth_estimate_stability():
     with criterion("9 (growth estimate stability)"):
         counts = analysis.avoidance_series(((1, 2, 3),), 60).terms
-        est = analysis.growth_estimate(counts)
+        est = survey.growth_estimate(counts)
         tail = est.tail_ratios
         assert all(abs(a - b) < 1e-4 for a, b in zip(tail, tail[1:]))
-        fact = analysis.growth_estimate(factorials(60))
+        fact = survey.growth_estimate(factorials(60))
         assert abs(fact.estimate - 1.0) < 1e-9

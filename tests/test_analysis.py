@@ -3,15 +3,10 @@ import math
 import pytest
 
 from cwilf import analysis, cluster_dp, positive_dp
-from cwilf.analysis import (
-    SeriesReport,
-    avoidance_series,
-    cross_check,
-    growth_estimate,
-    hit_parade,
-    tracked_series,
-)
-from cwilf.permcore import all_patterns, brute_weight_enum
+from cwilf.analysis import avoidance_series, tracked_series
+from cwilf.patterns import all_patterns
+from cwilf.permcore import brute_weight_enum
+from cwilf.survey import cross_check, growth_estimate, hit_parade
 from cwilf.weightring import PatternAssignment, WeightPoly
 from helpers import factorials
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from cwilf import analysis, cli, cluster_dp, positive_dp, weightring
+from cwilf import cli, cluster_dp, positive_dp, survey, weightring
 from cwilf.weightring import Packing, WeightPoly
+from helpers import choose_orientation
 
 
 def run_cli(args, env=None, monkeypatch=None):
@@ -82,10 +83,10 @@ def test_crosscheck_pattern_set():
 
 
 def test_crosscheck_strict_exit_code(monkeypatch):
-    fake = analysis.CrossCheckReport(
+    fake = survey.CrossCheckReport(
         patterns=("123",), n_max=3, methods=("brute", "positive"),
         rows=[], discrepancies=[{"n": 3, "terms": {"brute": "5", "positive": "6"}}])
-    monkeypatch.setattr(cli.analysis, "cross_check", lambda *a, **kw: fake)
+    monkeypatch.setattr(survey, "cross_check", lambda *a, **kw: fake)
     code, out, _ = run_cli(["crosscheck", "123", "--n", "3", "--strict"])
     assert code == cli.EXIT_INCONSISTENT
     assert out.startswith("FAIL: 1 discrepancies")
@@ -299,7 +300,7 @@ def test_only_polynomial_routes_load_the_weight_ring(argv, ring):
 def test_corrupt_orientation_that_runs_exits_4(monkeypatch):
     # a wrong C_4 on the member that runs leaves a_0..a_3 intact, so only
     # the comparison with the other members' probes sees it
-    run = cluster_dp.choose_orientation((1, 3, 2), 20)
+    run = choose_orientation((1, 3, 2), 20)
     assert run != (1, 3, 2)
     honest = cluster_dp.cluster_values
 
@@ -384,7 +385,7 @@ def test_repeated_runs_are_byte_identical():
 
 
 def test_clusters_and_count_name_the_same_class():
-    from cwilf.permcore import all_patterns, format_pattern
+    from cwilf.patterns import all_patterns, format_pattern
 
     for p in all_patterns(3) + all_patterns(4):
         text = format_pattern(p)

@@ -5,27 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwilf import cluster_dp, permcore, positive_dp
+from cwilf import cluster_dp, positive_dp
 from cwilf.cluster_dp import (
-    EgfReport,
     assemble_counts,
-    binomial,
     binomial_row,
     choose_representative,
     cluster_polys,
     cluster_polys_shifted,
     cluster_tables,
     cluster_values,
-    egf_identity_check,
-    extend_cluster,
     overlap_set,
-    split_ending_cluster,
-    verify_321_equation,
     _extension_slots,
 )
-from cwilf.permcore import all_patterns, brute_cluster_enum, brute_weight_enum
+from cwilf.patterns import all_patterns, symmetry_class
+from cwilf.permcore import (
+    EgfReport,
+    brute_cluster_enum,
+    brute_weight_enum,
+    egf_identity_check,
+    extend_cluster,
+    split_ending_cluster,
+    verify_321_equation,
+)
 from cwilf.weightring import PatternAssignment, WeightPoly
-from helpers import factorials
+from helpers import choose_orientation, factorials
 
 U = WeightPoly.variable(0, 1)
 S4_SAMPLE = [(1, 2, 3, 4), (1, 3, 2, 4), (1, 3, 4, 2), (4, 3, 2, 1)]
@@ -212,8 +215,8 @@ def test_monotone_pattern_cluster_polys_are_chain_counts():
 
 def test_binomials():
     for n in range(12):
-        for r in range(-1, n + 2):
-            assert binomial(n, r) == (math.comb(n, r) if 0 <= r <= n else 0)
+        for r in range(n + 1):
+            assert binomial_row(n)[r] == math.comb(n, r)
     assert binomial_row(6) == (1, 6, 15, 20, 15, 6, 1)
 
 
@@ -249,9 +252,9 @@ def test_assemble_counts_specialized_matches_positive_engine():
 
 def test_avoidance_engines_agree_past_the_oracle_cap():
     # every length-4 symmetry class, and one length-5 class per overlap set
-    reps4 = sorted({min(permcore.symmetry_class(q)) for q in all_patterns(4)})
+    reps4 = sorted({min(symmetry_class(q)) for q in all_patterns(4)})
     reps5 = {}
-    for q in sorted({min(permcore.symmetry_class(q)) for q in all_patterns(5)}):
+    for q in sorted({min(symmetry_class(q)) for q in all_patterns(5)}):
         reps5.setdefault(overlap_set(q), q)
     assert len(reps4) == 8 and len(reps5) == 4
     for p, N in [(p, 28) for p in reps4] + [(p, 18) for p in reps5.values()]:
@@ -260,7 +263,7 @@ def test_avoidance_engines_agree_past_the_oracle_cap():
 
 
 def test_every_length_5_class_agrees_across_engines():
-    reps = sorted({min(permcore.symmetry_class(q)) for q in all_patterns(5)})
+    reps = sorted({min(symmetry_class(q)) for q in all_patterns(5)})
     assert len(reps) == 32
     for p in reps:
         series = positive_dp.enumerate_series(5, PatternAssignment.avoiding([p]), 14)
@@ -269,7 +272,7 @@ def test_every_length_5_class_agrees_across_engines():
 
 def test_tracked_engines_agree_past_the_oracle_cap():
     # one member of each length-4 symmetry class
-    reps = sorted({min(permcore.symmetry_class(q)) for q in all_patterns(4)})
+    reps = sorted({min(symmetry_class(q)) for q in all_patterns(4)})
     assert len(reps) == 8
     for p in reps:
         positive = positive_dp.enumerate_series(4, PatternAssignment.tracking([p]), 18)
@@ -331,21 +334,21 @@ def test_verify_321_lowest_terms():
 def test_choose_representative():
     assert choose_representative((1, 2, 3)) == (1, 2, 3)
     assert choose_representative((3, 2, 1)) == (1, 2, 3)
-    for q in permcore.symmetry_class((1, 3, 2)):
+    for q in symmetry_class((1, 3, 2)):
         assert choose_representative(q) == (1, 3, 2)
     assert choose_representative((4, 2, 3, 1)) == (1, 3, 2, 4)
     # the chosen member never has more overlaps than any classmate
     for p in all_patterns(4):
         rep = choose_representative(p)
         assert len(overlap_set(rep)) <= min(
-            len(overlap_set(q)) for q in permcore.symmetry_class(p))
+            len(overlap_set(q)) for q in symmetry_class(p))
 
 
 def test_representative_is_the_lex_min_class_member():
     # reverse and complement keep the overlap set, so it cannot rank members
     for k in range(3, 7):
         for p in all_patterns(k):
-            members = permcore.symmetry_class(p)
+            members = symmetry_class(p)
             assert choose_representative(p) == min(members)
             assert {overlap_set(q) for q in members} == {overlap_set(p)}
 
@@ -356,11 +359,11 @@ def test_chosen_orientation_counts_like_the_representative(k, N):
     for p in all_patterns(k):
         if p in seen:
             continue
-        members = permcore.symmetry_class(p)
+        members = symmetry_class(p)
         seen.update(members)
-        run = cluster_dp.choose_orientation(p, N)
+        run = choose_orientation(p, N)
         assert run in members
-        assert all(cluster_dp.choose_orientation(q, N) == run for q in members)
+        assert all(choose_orientation(q, N) == run for q in members)
         assert assemble_counts(run, N, t_value=0) == assemble_counts(min(members), N, t_value=0)
 
 
@@ -370,7 +373,7 @@ def test_orientations_rank_by_spread_work():
     assert ranked[0][1] == (3, 2, 4, 1)
     assert ranked == sorted(ranked)  # by work, then member
     assert [q for _w, q, _c in sorted(ranked, key=lambda r: r[1])] == list(
-        permcore.symmetry_class((1, 4, 2, 3)))
+        symmetry_class((1, 4, 2, 3)))
     assert all(counts == ranked[0][2] for _w, _q, counts in ranked)
     assert ranked[0][2] == assemble_counts((1, 4, 2, 3), 2 * 4 + 3, t_value=0)
     # a shallow run probes no deeper than it counts

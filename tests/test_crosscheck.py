@@ -5,7 +5,7 @@ the cluster column.  Its stdout is pinned in `test_pinned_outputs.py`.
 
 import pytest
 
-from cwilf import cli, cluster_dp, permcore
+from cwilf import cli, cluster_dp, patterns, permcore
 
 from test_router import _corrupt_tables_of, run_cli
 
@@ -37,7 +37,7 @@ def test_cluster_column_cross_checks_every_member(monkeypatch):
 
 @pytest.mark.parametrize("argv, cap", [
     (["crosscheck", "", "--n", "10", "--cap", "9"], 9),
-    (["crosscheck", "", "--n", str(permcore.DEFAULT_PERM_CAP + 1)], permcore.DEFAULT_PERM_CAP),
+    (["crosscheck", "", "--n", str(patterns.DEFAULT_PERM_CAP + 1)], patterns.DEFAULT_PERM_CAP),
 ])
 def test_empty_family_refuses_the_cap_before_any_oracle_runs(monkeypatch, argv, cap):
     def oracle(*args, **kwargs):

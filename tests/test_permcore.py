@@ -4,22 +4,24 @@ import random
 import pytest
 
 from cwilf import permcore
-from cwilf.permcore import (
-    ClusterWitness,
+from cwilf.patterns import (
     OracleLimitError,
     all_patterns,
-    brute_avoider_count,
-    brute_cluster_enum,
-    brute_weight_enum,
     complement,
     format_pattern,
-    iter_cluster_witnesses,
     occurrences,
     parse_pattern,
     parse_pattern_set,
     reduction,
     reverse,
     symmetry_class,
+)
+from cwilf.permcore import (
+    ClusterWitness,
+    brute_avoider_count,
+    brute_cluster_enum,
+    brute_weight_enum,
+    iter_cluster_witnesses,
     weight_monomial,
 )
 from cwilf.weightring import PatternAssignment, WeightPoly

@@ -6,22 +6,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwilf import permcore, positive_dp
-from cwilf.permcore import all_patterns, brute_avoider_count, brute_weight_enum
+from cwilf import patterns, positive_dp
+from cwilf.patterns import all_patterns
+from cwilf.permcore import (
+    append_transition,
+    brute_avoider_count,
+    brute_weight_enum,
+    pack,
+    state_of,
+    step_append,
+)
 from cwilf.positive_dp import (
-    LiftedAssignment,
     PackedAssignment,
     StateTable,
-    append_transition,
     build_assignment,
     enumerate_for_patterns,
     enumerate_series,
     init_table,
-    state_of,
-    step_append,
     step_append_aggregated,
 )
-from cwilf.weightring import PatternAssignment, WeightPoly, pack
+from cwilf.weightring import PatternAssignment, WeightPoly
 from helpers import factorials, random_cells, random_state_table
 
 ALL_ONE_3 = PatternAssignment.all_one(3)
@@ -80,7 +84,7 @@ def test_append_transition_traces_actual_permutations():
             new_state, _ = append_transition(state, n, i, a)
             grown = tuple(v + 1 if v >= i else v for v in pi) + (i,)
             assert state_of(grown, k) == new_state
-            gained = permcore.reduction(grown[-k:])
+            gained = patterns.reduction(grown[-k:])
             tracked = PatternAssignment.tracking([gained])
             _, factor = append_transition(state, n, i, tracked)
             assert factor == WeightPoly.variable(0, 1)
@@ -255,7 +259,7 @@ def test_weight_sum_applies_each_cells_suffix_factor():
     families = [([(1, 2)], [(1, 2, 3)]), ([(2, 1, 3)], [(1, 2), (3, 2, 1)]),
                 ([], [(2, 1), (1, 3, 2), (1, 2, 3, 4)]), ([(1, 2, 3)], [(2, 1), (1, 2, 4, 3)])]
     for avoid, track in families:
-        a = LiftedAssignment(avoid, track)
+        a = build_assignment(avoid, track)
         for _ in range(10):
             n = rng.randint(a.k - 1, 9)
             table = random_state_table(rng, a.k, n, nvars=a.nvars, cells=rng.randint(1, 40))
@@ -327,7 +331,7 @@ def test_specialization_commutes_with_enumeration():
 def test_symmetry_invariance_small():
     for p in all_patterns(3):
         base = None
-        for q in permcore.symmetry_class(p):
+        for q in patterns.symmetry_class(p):
             series = enumerate_series(3, PatternAssignment.avoiding([q]), 12)
             values = [w.constant_value() for w in series]
             if base is None:
@@ -353,9 +357,9 @@ def test_mixed_length_tracking_matches_direct_scan():
     for n in range(7):
         total = WeightPoly.zero(1)
         for pi in itertools.permutations(range(1, n + 1)):
-            if permcore.occurrences(pi, (1, 2, 3)):
+            if patterns.occurrences(pi, (1, 2, 3)):
                 continue
-            hits = len(permcore.occurrences(pi, (1, 2)))
+            hits = len(patterns.occurrences(pi, (1, 2)))
             total = total + WeightPoly.variable(0, 1) ** hits
         assert series[n] == total, n
 

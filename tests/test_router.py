@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from cwilf import cli, cluster_dp
+from helpers import choose_orientation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -82,7 +83,7 @@ def test_tracked_member_that_only_probes_exits_4(monkeypatch, pattern):
     # of 3142 shows only as a mismatch with its probe counts.  Its overlaps
     # are {1, 2}, so no cluster has length 5: the first table past the
     # single atom is at n=6.
-    assert cluster_dp.choose_orientation((3, 1, 4, 2), 12) == (2, 4, 1, 3)
+    assert choose_orientation((3, 1, 4, 2), 12) == (2, 4, 1, 3)
     monkeypatch.setattr(cluster_dp, "cluster_tables", _corrupt_tables_of((3, 1, 4, 2), 6))
     code, out, err = run_cli(["count", "--track", pattern, "--n", "12"])
     assert (code, out) == (cli.EXIT_INCONSISTENT, "")
@@ -102,12 +103,12 @@ def test_tracked_cluster_runs_the_cheapest_member_under_the_lex_min_label(monkey
     code, out, _ = run_cli(["count", "--track", "3142", "--n", "10", "--format", "json"])
     assert code == 0
     assert json.loads(out)["representative"] == "2413"
-    assert ran == [cluster_dp.choose_orientation((3, 1, 4, 2), 10)]
+    assert ran == [choose_orientation((3, 1, 4, 2), 10)]
     ran.clear()
     code, out, _ = run_cli(["count", "--track", "132", "--n", "20", "--format", "json"])
     assert code == 0
     assert json.loads(out)["representative"] == "132"
-    assert ran == [cluster_dp.choose_orientation((1, 3, 2), 20)] != [(1, 3, 2)]
+    assert ran == [choose_orientation((1, 3, 2), 20)] != [(1, 3, 2)]
 
 
 def test_terms_longer_than_the_int_text_limit_print():

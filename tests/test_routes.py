@@ -1,12 +1,13 @@
-"""Which modules each command loads, and the old import paths of moved names.
+"""Which modules each command loads, and where each name lives.
 
 A `count` process compiles only the parser, the router, the pattern
 primitives and its engine: the reference side (`permcore`) and the other
-commands (`survey`) stay unloaded.  Names that moved keep resolving, as
-the same object, through the module they used to live in (PEP 562).
+commands (`survey`) stay unloaded.  Each name is defined in one module and
+read from there: no module but the package forwards names (PEP 562), and
+no module imports a sibling's name only to hand it on.
 """
 
-import importlib
+import ast
 import json
 import os
 import subprocess
@@ -69,36 +70,16 @@ def test_brute_force_routes_load_the_reference_side(argv):
     assert "cwilf.permcore" in _cwilf_modules_after(argv)
 
 
-# (old home, name, new home)
-MOVED = [
-    *(("permcore", name, "patterns") for name in (
-        "DEFAULT_CLUSTER_CAP", "DEFAULT_PERM_CAP", "InconsistentResult", "OracleLimitError",
-        "all_patterns", "complement", "format_pattern", "is_permutation", "occurrences",
-        "parse_pattern", "parse_pattern_set", "reduction", "reverse", "symmetry_class")),
-    ("weightring", "InconsistentResult", "patterns"),
-    *(("cluster_dp", name, "permcore") for name in (
-        "EgfReport", "Normalization", "Report321", "_completions", "_negate_var", "_t_coeffs",
-        "egf_identity_check", "extend_cluster", "split_ending_cluster", "verify_321_equation")),
-    *(("positive_dp", name, "permcore") for name in (
-        "append_transition", "state_of", "step_append")),
-    ("weightring", "pack", "permcore"),
-    *(("analysis", name, "survey") for name in (
-        "CrossCheckReport", "DEFAULT_DEPTH", "GrowthEstimate", "cross_check",
-        "growth_estimate", "hit_parade")),
-]
-
-
-@pytest.mark.parametrize("old, name, new", MOVED)
-def test_moved_name_is_one_object_on_every_path(old, name, new):
-    namespace = {}
-    exec(f"from cwilf.{old} import {name}", namespace)
-    obj = getattr(importlib.import_module(f"cwilf.{new}"), name)
-    assert namespace[name] is obj
-    if name in cwilf.__all__:
-        assert getattr(cwilf, name) is obj
-
-
-@pytest.mark.parametrize("module", ["analysis", "cluster_dp", "positive_dp", "weightring"])
-def test_unknown_name_still_raises_attribute_error(module):
-    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
-        getattr(importlib.import_module(f"cwilf.{module}"), "nonexistent")
+def test_every_name_has_one_home():
+    # only the package forwards names; a module imports a sibling's name
+    # only to use it, never to hand it on
+    for path in sorted((SRC / "cwilf").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem != "__init__":
+            assert "__getattr__" not in {node.name for node in tree.body
+                                         if isinstance(node, ast.FunctionDef)}, path.stem
+        imported = {alias.asname or alias.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.stem, sorted(imported - used))

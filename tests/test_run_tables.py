@@ -12,14 +12,14 @@ import random
 
 import pytest
 
-from cwilf.permcore import all_patterns
+from cwilf.patterns import all_patterns
+from cwilf.permcore import step_append
 from cwilf.positive_dp import (
     PackedAssignment,
     StateTable,
     _pull_plan,
     build_assignment,
     init_table,
-    step_append,
     step_append_aggregated,
 )
 from cwilf.weightring import PatternAssignment, WeightPoly

@@ -12,11 +12,11 @@ from cwilf.weightring import (
     WeightPoly,
     as_weight_poly,
     compose_shift,
-    pack,
     packing_layout,
     unpack,
 )
-from cwilf.permcore import occurrences, reduction
+from cwilf.patterns import occurrences, reduction
+from cwilf.permcore import pack
 from helpers import random_poly
 
 T = WeightPoly.variable(0, 1)
@@ -46,7 +46,6 @@ def test_add_examples():
 def test_mul_examples():
     t_minus_1 = T - 1
     assert t_minus_1 * t_minus_1 == WeightPoly(1, {(2,): 1, (1,): -2, (0,): 1})
-    assert (T + 5).mul_var(0) == WeightPoly(1, {(2,): 1, (1,): 5})
     p = random_poly(random.Random(2), 2)
     assert p * WeightPoly.const(1, 2) == p
 
@@ -175,11 +174,7 @@ def test_assignment_factors():
     assert a.factor((1, 2, 3)) == 0
     assert a.factor((2, 3, 1)) == WeightPoly.variable(0, 1)
     assert a.factor((3, 2, 1)) == 1
-    assert a.apply((1, 2, 3), T) == WeightPoly.zero(1)
-    assert a.apply((3, 2, 1), T) == T
-    assert a.apply((2, 3, 1), T) == T * T
     assert a.suffix_factor((1, 2)) == 1
-    assert len(list(a.items())) == 6
 
 
 def test_assignment_validation():
