@@ -4,10 +4,12 @@ A `count` process compiles only the parser, the router, the pattern
 primitives and its engine: the reference side (`permcore`) and the other
 commands (`survey`) stay unloaded.  Each name is defined in one module and
 read from there: no module but the package forwards names (PEP 562), and
-no module imports a sibling's name only to hand it on.
+no module imports a sibling's name only to hand it on.  Where a module
+does read a sibling's name, it holds the home's object, not a copy.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -83,3 +85,31 @@ def test_every_name_has_one_home():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.stem, sorted(imported - used))
+
+
+# (reading module, name, home): the primitives that moved to `patterns` and
+# are still read where they used to live
+SHARED = [
+    *(("permcore", name, "patterns") for name in (
+        "DEFAULT_CLUSTER_CAP", "DEFAULT_PERM_CAP", "OracleLimitError", "all_patterns",
+        "format_pattern", "is_permutation", "occurrences", "reduction")),
+    ("weightring", "InconsistentResult", "patterns"),
+]
+
+
+@pytest.mark.parametrize("reader, name, home", SHARED)
+def test_moved_name_is_one_object_on_every_path(reader, name, home):
+    namespace = {}
+    exec(f"from cwilf.{reader} import {name}", namespace)
+    obj = getattr(importlib.import_module(f"cwilf.{home}"), name)
+    assert namespace[name] is obj
+    if name in cwilf.__all__:
+        assert getattr(cwilf, name) is obj
+
+
+@pytest.mark.parametrize("module", ["analysis", "cluster_dp", "positive_dp", "weightring"])
+def test_unknown_name_still_raises_attribute_error(module):
+    # with the forwarders gone, a module's unknown name is the interpreter's
+    # plain AttributeError
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        getattr(importlib.import_module(f"cwilf.{module}"), "nonexistent")
