@@ -50,20 +50,10 @@ class SeriesReport:
             "representative": self.representative,
             "class": list(self.members),
             "method": self.method,
-            "terms": term_texts(self.terms),
+            "terms": list(map(str, self.terms)),
             "growth": self.growth,
             "checks": self.checks,
         }
-
-
-def term_texts(terms: Sequence) -> list[str]:
-    """Canonical text of each series term; an integer series never loads the
-    weight ring (`str` gives the same text as `weightring.term_text`)."""
-    if all(isinstance(t, int) for t in terms):
-        return [str(t) for t in terms]
-    from .weightring import term_text
-
-    return [term_text(t) for t in terms]
 
 
 def avoidance_series(patterns: Sequence[Sequence[int]], N: int,
@@ -98,9 +88,13 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
     brute runs only when asked and refuses an N above the cap up front.
     The cluster engine runs the cheapest member of the pattern's symmetry
     class, checked against the others (`_cluster_terms`), and reports the
-    lexicographically smallest member as the representative.  A single
-    avoided pattern lists its whole class on every engine, a tracked one
-    only on the cluster engine; otherwise the patterns stand for themselves.
+    lexicographically smallest member, the first of the sorted class, as
+    the representative: counts are identical across the class but the work
+    is not, so the label is fixed and the run is chosen.  (The overlap set
+    is the same for every member, as reverse and complement preserve it, so
+    it cannot rank them.)  A single avoided pattern lists its whole class
+    on every engine, a tracked one only on the cluster engine; otherwise
+    the patterns stand for themselves.
 
     Avoidance terms are integers whose terms below and at the shortest
     pattern length must match their closed form; tracked terms are
@@ -126,9 +120,7 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
         if not single:
             raise ValueError("cluster engine tracks a single pattern" if track
                              else "cluster engine handles a single pattern")
-        from . import cluster_dp
-
-        rep = format_pattern(cluster_dp.choose_representative(patterns[0]))
+        rep = format_pattern(members[0])
         terms = _cluster_terms(patterns[0], N, bool(track))
     elif engine == "positive":
         from . import positive_dp

@@ -125,7 +125,7 @@ def _emit_json(obj) -> None:
 
 def _series_text(terms) -> str:
     polynomial = any(not isinstance(t, int) and not t.is_constant() for t in terms)
-    return ("; " if polynomial else ",").join(analysis.term_texts(terms))
+    return ("; " if polynomial else ",").join(map(str, terms))
 
 
 def _cmd_count(args) -> int:

@@ -229,16 +229,13 @@ def cluster_tables(p: Sequence[int], N: int, u,
 
 
 def cluster_polys_shifted(p: Sequence[int], N: int) -> list[WeightPoly]:
-    """C_0..C_N as polynomials in the shifted variable u = t - 1."""
-    from .weightring import WeightPoly, packing_layout, unpack
+    """C_0..C_N as polynomials in the shifted variable u = t - 1, decoded
+    from their values at u = 2^B (`cluster_values`)."""
+    from .weightring import packing_layout, unpack
 
-    p = _check_pattern(p)
     atoms = max(N - len(p) + 1, 0)
     layout = packing_layout(1, math.factorial(N) << atoms, atoms)
-    out = [WeightPoly.zero(1) for _ in range(N + 1)]
-    for n, table in cluster_tables(p, N, layout.variable(0)):
-        out[n] = unpack(sum(table.values()), layout)
-    return out
+    return [unpack(c, layout) for c in cluster_values(p, N, layout.variable(0) + 1)]
 
 
 def cluster_polys(p: Sequence[int], N: int) -> list[WeightPoly]:
@@ -305,18 +302,7 @@ def _chop(C: Sequence, k: int) -> list:
     return terms
 
 
-# -- symmetry representative and orientation ------------------------------------
-
-def choose_representative(p: Sequence[int]) -> tuple[int, ...]:
-    """The lexicographically smallest member of p's symmetry class.
-
-    This is the class label reports carry.  The member that runs is
-    `rank_orientations`' first: counts are identical across the class, but
-    the work is not.  The overlap set is the same for every member (reverse
-    and complement preserve it), so it cannot rank them.
-    """
-    return min(symmetry_class(_check_pattern(p)))
-
+# -- orientation --------------------------------------------------------------
 
 def rank_orientations(p: Sequence[int], N: int) -> list[tuple]:
     """Every member q of p's symmetry class as (work, q, counts), cheapest

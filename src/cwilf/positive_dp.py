@@ -57,10 +57,14 @@ State = tuple[tuple[int, ...], tuple[int, ...]]
 
 # Most tracked variables packed into one integer.  A layout for exponents up
 # to E spans (E+1)^v digits, while the polynomial has at most C(E+v, v)
-# terms, about v! times fewer.  Up to three variables the packed table is
-# still the smaller and faster one (a digit costs B bits, a sparse term about
-# 200 bytes); from four on it takes several times the memory of the sparse
-# table for at most a 2.5x gain in time, and from six on it is slower too.
+# terms, about v! times fewer.  Measured packed against sparse (Python
+# 3.11.7, 2 CPUs, shared host): up to three variables packing is 15-23x
+# faster in-process ("123" to n=30, "123;321" to n=16: 5 vs 93 ms,
+# "1234;4321;1324" to n=12).  At four it wins or loses by at most 2x, for
+# more memory, in whole processes ("1234;4321;1324;2143" to n=12: 0.25 vs
+# 0.52 s, 41 vs 24 MB; "123;321;132;213" to n=14: 1.8-1.9 vs 1.5-2.4 s over
+# three pairs, 43 vs 39 MB).  At five it is 9x slower (five length-3
+# patterns to n=12: 6.4 vs 0.70 s, 109 vs 23 MB).
 PACKED_VARIABLES_MAX = 3
 
 
@@ -167,28 +171,20 @@ def _decoded(value, assignment, n: int) -> WeightPoly:
 
 
 class _Cells(Mapping):
-    """The flat (q, j) -> w view of a table's runs."""
+    """The flat (q, j) -> w view of a table's runs.  A lookup reads the
+    view's own expansion (`items`), made by the first one."""
 
     def __init__(self, table: StateTable):
         self._table = table
+        self._found: dict | None = None
 
     def __len__(self) -> int:
         return self._table.live
 
     def __getitem__(self, state: State):
-        q, j = state
-        table = self._table
-        # a value outside 1..n would spill into the next field of the key
-        if (sorted(q) != list(range(1, table.k)) or len(j) != len(q)
-                or list(j) != sorted(set(j)) or not 1 <= j[0] <= j[-1] <= table.n):
-            raise KeyError(state)
-        d = q[0] - 1
-        oi = all_patterns(table.k - 2).index(reduction(q[1:]))
-        key = _group_key(oi, j[:d] + j[d + 1:], table.width)
-        for x, w in table._cells_of(d, oi).get(key, ()):
-            if x == j[d]:
-                return w
-        raise KeyError(state)
+        if self._found is None:
+            self._found = dict(self.items())
+        return self._found[state]
 
     def __iter__(self):
         return (state for state, _w in self.items())

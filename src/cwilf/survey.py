@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .analysis import SeriesReport, _refuse_above_cap, _series, avoidance_series, term_texts
+from .analysis import SeriesReport, _refuse_above_cap, _series, avoidance_series
 from .cli import EXIT_INCONSISTENT, EXIT_OK, _emit, _emit_json, _resolve_cap
 from .patterns import (
     all_patterns,
@@ -37,9 +37,13 @@ class GrowthEstimate(namedtuple("GrowthEstimate", "estimate tail_ratios")):
 def growth_estimate(counts: Sequence[int]) -> GrowthEstimate:
     """Estimate lim a_n / (n * a_{n-1}) from an exact count sequence.
 
-    The raw ratios converge like L + O(1/n); one Richardson step
-    (n*r_n - (n-1)*r_{n-1}) removes the 1/n term.  The last five raw ratios
-    come along so callers can judge convergence themselves.
+    When the raw ratios r_n converge like L + c/n, one Richardson step
+    (n*r_n - (n-1)*r_{n-1}) removes the 1/n term; when they converge
+    geometrically, as for consecutive patterns, the step makes the estimate
+    worse.  So the 1/n model is fitted through r_{N-2} and r_{N-1}, and the
+    step is taken only if that model predicts r_N better than r_{N-1} does;
+    otherwise the estimate is r_N.  The last five raw ratios come along so
+    callers can judge convergence themselves.
     """
     N = len(counts) - 1
     if N < 10:
@@ -49,7 +53,10 @@ def growth_estimate(counts: Sequence[int]) -> GrowthEstimate:
     from fractions import Fraction
 
     ratios = [Fraction(counts[n], n * counts[n - 1]) for n in range(1, N + 1)]
-    refined = N * ratios[-1] - (N - 1) * ratios[-2]
+    older, prev, last = ratios[-3:]
+    limit = (N - 1) * prev - (N - 2) * older  # the 1/n model through older, prev
+    predicted = limit + (N - 1) * (prev - limit) / N
+    refined = N * last - (N - 1) * prev if abs(predicted - last) < abs(prev - last) else last
     return GrowthEstimate(float(refined), [float(r) for r in ratios[-5:]])
 
 
@@ -107,7 +114,7 @@ def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
     methods = tuple(columns)
     rows = []
     discrepancies = []
-    for n, texts in enumerate(zip(*(term_texts(c) for c in columns.values()))):
+    for n, texts in enumerate(zip(*(map(str, c) for c in columns.values()))):
         terms = dict(zip(methods, texts))
         equal = len(set(texts)) == 1
         rows.append({"n": n, "equal": equal, "terms": terms})
@@ -148,21 +155,15 @@ def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:
 def _cmd_clusters(args) -> int:
     p = parse_pattern(args.pattern)
     from . import cluster_dp
-    from .weightring import term_text
 
     terms = cluster_dp.cluster_polys(p, args.n)
     if args.format == "json":
-        report = SeriesReport(
-            pattern=format_pattern(p),
-            representative=format_pattern(cluster_dp.choose_representative(p)),
-            members=tuple(format_pattern(q) for q in symmetry_class(p)),
-            method="cluster",
-            terms=terms,
-        )
-        _emit_json(report.to_json_dict())
+        members = tuple(map(format_pattern, symmetry_class(p)))
+        _emit_json(SeriesReport(format_pattern(p), members[0], members, "cluster",
+                                terms).to_json_dict())
     else:
         for n, c in enumerate(terms):
-            _emit(f"C[{n}] = {term_text(c)}")
+            _emit(f"C[{n}] = {c}")
     return EXIT_OK
 
 

@@ -415,11 +415,3 @@ class PatternAssignment:
         """The weight factor of the occurrences inside a retained suffix."""
         return self.suffix_factors[suffix]
 
-
-def term_text(weight) -> str:
-    """Canonical display of a series term, integer or polynomial."""
-    if isinstance(weight, WeightPoly):
-        if weight.is_constant():
-            return str(weight.constant_value())
-        return weight.canonical_text()
-    return str(weight)

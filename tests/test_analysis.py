@@ -30,6 +30,25 @@ def test_growth_estimate_is_scale_free():
     assert a.tail_ratios == b.tail_ratios
 
 
+# exact limits: 1/rho with rho the first positive zero of the EGF's denominator
+LIMITS = {(1, 2, 3): 3 * math.sqrt(3) / (2 * math.pi),  # 0.8269933431326881
+          (1, 3, 2): 0.7839769312035472}  # rho: integral of exp(-t^2/2) from 0 to rho is 1
+
+
+@pytest.mark.parametrize("pattern", sorted(LIMITS), ids=lambda p: "".join(map(str, p)))
+def test_growth_estimate_on_geometric_tails(pattern):
+    # consecutive-pattern ratios converge geometrically, where a Richardson
+    # step would add error: the estimate stays the last raw ratio
+    limit = LIMITS[pattern]
+    for N, tol in ((12, 1e-4), (20, 1e-6), (30, 1e-9)):
+        counts = avoidance_series([pattern], N).terms
+        est = growth_estimate(counts)
+        assert est.estimate == est.tail_ratios[-1], (pattern, N)
+        assert abs(est.estimate - limit) < tol, (pattern, N)
+        step = N * est.tail_ratios[-1] - (N - 1) * est.tail_ratios[-2]
+        assert abs(est.estimate - limit) < abs(step - limit), (pattern, N)
+
+
 def test_growth_estimate_validation():
     with pytest.raises(ValueError):
         growth_estimate(factorials(9))

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwilf import cluster_dp, positive_dp
+from cwilf.analysis import _series
 from cwilf.cluster_dp import (
     assemble_counts,
     binomial_row,
-    choose_representative,
     cluster_polys,
     cluster_polys_shifted,
     cluster_tables,
@@ -17,7 +17,7 @@ from cwilf.cluster_dp import (
     overlap_set,
     _extension_slots,
 )
-from cwilf.patterns import all_patterns, symmetry_class
+from cwilf.patterns import all_patterns, format_pattern, symmetry_class
 from cwilf.permcore import (
     EgfReport,
     brute_cluster_enum,
@@ -135,7 +135,7 @@ def _project(table, p):
     return out
 
 
-CLASS_REPS = sorted({choose_representative(q) for k in (3, 4, 5) for q in all_patterns(k)})
+CLASS_REPS = sorted({symmetry_class(q)[0] for k in (3, 4, 5) for q in all_patterns(k)})
 
 
 def test_aggregated_and_direct_tables_agree():
@@ -201,6 +201,21 @@ def test_u_degree_bounds():
             for (r,), coeff in c.items():
                 assert coeff != 0
                 assert k + (r - 1) <= n <= k + (r - 1) * (k - 1), (p, n, r)
+
+
+def test_shifted_polys_are_the_polynomial_table_sums():
+    # the packed route decodes to what tables with polynomial weights sum to,
+    # for one pattern per overlap set of length 3-5
+    firsts = {}
+    for k in (3, 4, 5):
+        for p in all_patterns(k):
+            firsts.setdefault((k, overlap_set(p)), p)
+    assert len(firsts) == 9
+    for p in firsts.values():
+        expected = [WeightPoly.zero(1)] * 13
+        for n, table in cluster_tables(p, 12, U):
+            expected[n] = sum(table.values())
+        assert cluster_polys_shifted(p, 12) == expected, p
 
 
 def test_monotone_pattern_cluster_polys_are_chain_counts():
@@ -331,25 +346,19 @@ def test_verify_321_lowest_terms():
     assert all(c.shift == -1 for c in report.candidates)
 
 
-def test_choose_representative():
-    assert choose_representative((1, 2, 3)) == (1, 2, 3)
-    assert choose_representative((3, 2, 1)) == (1, 2, 3)
-    for q in symmetry_class((1, 3, 2)):
-        assert choose_representative(q) == (1, 3, 2)
-    assert choose_representative((4, 2, 3, 1)) == (1, 3, 2, 4)
-    # the chosen member never has more overlaps than any classmate
-    for p in all_patterns(4):
-        rep = choose_representative(p)
-        assert len(overlap_set(rep)) <= min(
-            len(overlap_set(q)) for q in symmetry_class(p))
-
-
 def test_representative_is_the_lex_min_class_member():
-    # reverse and complement keep the overlap set, so it cannot rank members
+    # the router labels a class by its first, lexicographically smallest
+    # member, avoided or tracked; reverse and complement keep the overlap
+    # set, so it cannot rank members
+    assert _series([(3, 2, 1)], (), 3, "cluster").representative == "123"
+    assert _series([(4, 2, 3, 1)], (), 4, "cluster").representative == "1324"
     for k in range(3, 7):
         for p in all_patterns(k):
             members = symmetry_class(p)
-            assert choose_representative(p) == min(members)
+            label = format_pattern(min(members))
+            assert _series([p], (), k, "cluster").representative == label, p
+            if k < 6:
+                assert _series((), [p], k, "cluster").representative == label, p
             assert {overlap_set(q) for q in members} == {overlap_set(p)}
 
 

@@ -112,6 +112,50 @@ def test_canonical_text():
     assert (y * y + x * y + x * x + x + 2).canonical_text() == "t0^2 + t0*t1 + t1^2 + t0 + 2"
 
 
+def test_str_is_the_reported_term_text():
+    # reports print every term, int or polynomial, with str; a constant
+    # polynomial prints as its integer
+    x, y = WeightPoly.variable(0, 2), WeightPoly.variable(1, 2)
+    cases = [
+        (0, "0"), (-7, "-7"), (10 ** 30, "1" + "0" * 30),
+        (WeightPoly.zero(0), "0"), (WeightPoly.zero(2), "0"), (WeightPoly.const(5), "5"),
+        (WeightPoly.const(12, 1), "12"), (WeightPoly.const(-3, 2), "-3"),
+        (-T, "-t"), (3 - 2 * T, "-2*t + 3"), (T * T - 1, "t^2 - 1"),
+        (3 * y * y - x - 4, "3*t1^2 - t0 - 4"),
+        (WeightPoly(3, {(0, 0, 1): 1, (1, 1, 0): -2}), "-2*t0*t1 + t2"),
+    ]
+    for w, text in cases:
+        assert str(w) == f"{w}" == text
+
+
+def _read_text(text, nvars):
+    """The polynomial a term text names, read without the printer."""
+    names = ["t"] if nvars == 1 else [f"t{i}" for i in range(nvars)]
+    terms = {}
+    for piece in text.replace(" - ", " + -").split(" + "):
+        coeff, exps = -1 if piece.startswith("-") else 1, [0] * nvars
+        for factor in piece.lstrip("-").split("*"):
+            if factor.isdigit():
+                coeff *= int(factor)
+            else:
+                name, _, e = factor.partition("^")
+                exps[names.index(name)] = int(e or 1)
+        assert tuple(exps) not in terms
+        terms[tuple(exps)] = coeff
+    return WeightPoly(nvars, terms)
+
+
+def test_str_of_random_polys_reads_back():
+    rng = random.Random(11)
+    for _ in range(2000):
+        nvars = rng.randint(0, 3)
+        w = random_poly(rng, nvars, max_exp=rng.choice((0, 1, 4)))
+        text = str(w)
+        assert _read_text(text, nvars) == w, text
+        if w.is_constant():
+            assert text == str(w.constant_value())
+
+
 def test_pow_and_neg():
     assert T ** 0 == ONE
     assert T ** 3 == WeightPoly(1, {(3,): 1})
