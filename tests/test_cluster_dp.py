@@ -346,6 +346,24 @@ def test_verify_321_lowest_terms():
     assert all(c.shift == -1 for c in report.candidates)
 
 
+def test_choose_representative():
+    # the class label the router reports for a single avoided pattern
+    def label(q):
+        return _series([q], (), len(q), "cluster").representative
+
+    assert label((1, 2, 3)) == "123"
+    assert label((3, 2, 1)) == "123"
+    for q in symmetry_class((1, 3, 2)):
+        assert label(q) == "132"
+    assert label((4, 2, 3, 1)) == "1324"
+    # the chosen member never has more overlaps than any classmate
+    for p in all_patterns(4):
+        rep = symmetry_class(p)[0]
+        assert label(p) == format_pattern(rep)
+        assert len(overlap_set(rep)) <= min(
+            len(overlap_set(q)) for q in symmetry_class(p))
+
+
 def test_representative_is_the_lex_min_class_member():
     # the router labels a class by its first, lexicographically smallest
     # member, avoided or tracked; reverse and complement keep the overlap
