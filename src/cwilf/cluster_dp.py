@@ -18,8 +18,10 @@ each atom contributing one factor u = t - 1.  An extension marginalizes the
 source table onto the m shared values and places the new key values; the
 new atom's other values are not tracked but counted: between consecutive
 specified (rank, value) points (r, v) and (r', v'), with sentinels (0, 0)
-and (k+1, n+1), the unspecified ranks fit in C(v'-v-1, r'-r-1) ways.  For
-patterns whose only overlap is 1 the key is one value, at most n states.
+and (k+1, n+1), the unspecified ranks fit in C(v'-v-1, r'-r-1) ways; summed
+over the previous value v, they make a fresh v' an (r'-r)-fold running sum,
+in the umbral view a product with 1/(1-x)^(r'-r).  For patterns whose only
+overlap is 1 the key is one value, at most n states.
 
 The tables and the recurrence run on plain integers at one value of t.
 Deep avoidance series use t = 0.  Polynomials come from a value that packs
@@ -47,6 +49,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import add
 
 from .patterns import is_permutation, reduction, symmetry_class
 
@@ -55,6 +59,11 @@ def _check_pattern(p: Sequence[int]) -> tuple[int, ...]:
     if len(p) < 2 or not is_permutation(p):
         raise ValueError(f"invalid pattern {p}")
     return p
+
+
+def _check_depth(N: int) -> None:
+    if N < 0:
+        raise ValueError("N must be nonnegative")
 
 
 @lru_cache(maxsize=None)
@@ -141,10 +150,12 @@ def _spread(src: dict, plan, n: int, work: list | None = None) -> dict:
     value) points, from the sentinel (0, 0) up.  The walk keeps partial
     placements (key values so far, last value, shared values ahead); the
     first ones merge src onto the shared values.  At a fresh key value v,
-    summing E(w) C(v - w - 1, gap) over the last value w is a (gap+1)-fold
-    running sum: one pass over v per group.  With `work`, work[0] grows by
-    the partial placements of each step plus gap+1 per pass of a running
-    sum, which is what `rank_orientations` compares.
+    summing E(w) C(v - w - 1, gap) over the last value w < v is a
+    (gap+1)-fold running sum: gap+1 `accumulate` passes, the positive
+    engine's idiom, over one {last value: weight} column per (key values,
+    shared values ahead) group.  With `work`, work[0] grows by the partial
+    placements of each step plus gap+1 per value a running sum passes,
+    which is what `rank_orientations` compares.
     """
     shared, steps, order, mirrored = plan
     origin, sign = (n + 1, -1) if mirrored else (0, 1)
@@ -162,27 +173,22 @@ def _spread(src: dict, plan, n: int, work: list | None = None) -> dict:
             for (vals, last, ahead), w in layer.items():
                 v = ahead[0]
                 state = (vals + (v,) if in_key else vals, v, ahead[1:])
-                add = w * math.comb(v - last - 1, gap) if gap else w
+                placed = w * math.comb(v - last - 1, gap) if gap else w
                 prev = nxt.get(state)
-                nxt[state] = add if prev is None else prev + add
+                nxt[state] = placed if prev is None else prev + placed
         else:
             groups: dict = {}
             for (vals, last, ahead), w in layer.items():
-                groups.setdefault((vals, ahead), []).append((last, w))
-            for (vals, ahead), entries in groups.items():
-                entries.sort()
-                sums = [0] * (gap + 1)  # sums[j] = sum over w < v of E(w) C(v-w-1, j)
-                i, start, stop = 0, entries[0][0], ahead[0] - dist + 1
+                groups.setdefault((vals, ahead), {})[last] = w
+            for (vals, ahead), column in groups.items():
+                start, stop = min(column), ahead[0] - dist + 1
                 if stop > start:
                     passes += stop - start
-                for v in range(start, stop):
-                    if v > start + gap:
-                        nxt[(vals + (v,), v, ahead)] = sums[gap]
-                    for j in range(gap, 0, -1):
-                        sums[j] = sums[j] + sums[j - 1]
-                    if i < len(entries) and entries[i][0] == v:
-                        sums[0] = sums[0] + entries[i][1]
-                        i += 1
+                sums = map(column.get, range(start, stop - gap - 1), repeat(0))
+                for _ in range(gap + 1):
+                    sums = accumulate(sums)
+                for v, w in zip(range(start + gap + 1, stop), sums):
+                    nxt[(vals + (v,), v, ahead)] = w
         if work is not None:
             work[0] += len(layer) + passes * (gap + 1)
         layer = nxt
@@ -214,15 +220,15 @@ def cluster_tables(p: Sequence[int], N: int, u,
         if n == k:
             table: dict = {p[k - M:]: u}
         else:
-            table = {}
+            merged: dict = {}
             for m in overlaps:
                 src = recent.get(n - (k - m))
                 if not src:
                     continue
                 for key, w in _spread(src, _key_plan(p, m), n, work).items():
-                    add = w * u
-                    prev = table.get(key)
-                    table[key] = add if prev is None else prev + add
+                    prev = merged.get(key)
+                    merged[key] = w if prev is None else prev + w
+            table = {key: w * u for key, w in merged.items()}
         recent[n] = table
         recent.pop(n - k + 1, None)
         yield n, table
@@ -233,6 +239,7 @@ def cluster_polys_shifted(p: Sequence[int], N: int) -> list[WeightPoly]:
     from their values at u = 2^B (`cluster_values`)."""
     from .weightring import packing_layout, unpack
 
+    _check_depth(N)
     atoms = max(N - len(p) + 1, 0)
     layout = packing_layout(1, math.factorial(N) << atoms, atoms)
     return [unpack(c, layout) for c in cluster_values(p, N, layout.variable(0) + 1)]
@@ -247,6 +254,7 @@ def cluster_polys(p: Sequence[int], N: int) -> list[WeightPoly]:
 
 def cluster_values(p: Sequence[int], N: int, t_value) -> list:
     """C_0(t0)..C_N(t0) at a fixed exact t0, computed without polynomials."""
+    _check_depth(N)
     u = t_value - 1
     out = [0] * (N + 1)
     if u == 0:
@@ -254,20 +262,6 @@ def cluster_values(p: Sequence[int], N: int, t_value) -> list:
     for n, table in cluster_tables(p, N, u):
         out[n] = sum(table.values())
     return out
-
-
-# -- binomials: one growing Pascal triangle, exact ----------------------------
-
-_PASCAL_ROWS: list[tuple[int, ...]] = [(1,)]
-
-
-def binomial_row(n: int) -> tuple[int, ...]:
-    while len(_PASCAL_ROWS) <= n:
-        prev = _PASCAL_ROWS[-1]
-        _PASCAL_ROWS.append(
-            (1,) + tuple(prev[i] + prev[i + 1] for i in range(len(prev) - 1)) + (1,)
-        )
-    return _PASCAL_ROWS[n]
 
 
 def assemble_counts(p: Sequence[int], N: int, t_value=None) -> list:
@@ -279,6 +273,7 @@ def assemble_counts(p: Sequence[int], N: int, t_value=None) -> list:
     t = 2^B and each term is decoded, with P_n(1) = n! checked.
     """
     p = _check_pattern(p)
+    _check_depth(N)
     if t_value is not None:
         return _chop(cluster_values(p, N, t_value), len(p))
     from .weightring import packing_layout, unpack
@@ -289,11 +284,12 @@ def assemble_counts(p: Sequence[int], N: int, t_value=None) -> list:
 
 
 def _chop(C: Sequence, k: int) -> list:
-    """P_0..P_N at one value of t from C_0..C_N there: the chopping recurrence."""
-    terms = [1]
+    """P_0..P_N at one value of t from C_0..C_N there: the chopping
+    recurrence, on one Pascal row rolled forward per size, nothing cached."""
+    terms, row = [1], [1]
     for n in range(1, len(C)):
         val = n * terms[n - 1]
-        row = binomial_row(n)
+        row = [1, *map(add, row, row[1:]), 1]
         for r in range(k, n + 1):
             c = C[r]
             if c:
@@ -320,6 +316,7 @@ def rank_orientations(p: Sequence[int], N: int) -> list[tuple]:
     callers compare them.
     """
     p = _check_pattern(p)
+    _check_depth(N)
     k = len(p)
     depth = min(N, 2 * k + 3)
     ranked = []

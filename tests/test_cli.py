@@ -251,13 +251,17 @@ def test_python_dash_m_matches_main():
 
 
 def _modules_loaded_by(code):
-    """The modules a fresh interpreter imports while running `code`."""
+    """The modules a fresh interpreter imports while running `code`.
+
+    It runs with -S: `site` may import modules (`typing` through a `.pth`
+    file) before the probe starts, which would hide them from it.
+    """
     probe = ("import json, sys\n"
              "before = set(sys.modules)\n"
              f"{code}\n"
              "print(json.dumps(sorted(set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from cwilf import cluster_dp, positive_dp
 from cwilf.analysis import _series
 from cwilf.cluster_dp import (
     assemble_counts,
-    binomial_row,
     cluster_polys,
     cluster_polys_shifted,
     cluster_tables,
@@ -228,11 +229,29 @@ def test_monotone_pattern_cluster_polys_are_chain_counts():
             assert series[n] == brute_cluster_enum(n, p)
 
 
-def test_binomials():
-    for n in range(12):
-        for r in range(n + 1):
-            assert binomial_row(n)[r] == math.comb(n, r)
-    assert binomial_row(6) == (1, 6, 15, 20, 15, 6, 1)
+def test_chopping_recurrence_keeps_no_binomial_triangle():
+    # a rolling Pascal row: a triangle to row 500 alone takes about 8 MB
+    tracemalloc.start()
+    try:
+        assemble_counts((2, 3, 1), 500, t_value=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("N", [-1, -2])
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda N: cluster_values((1, 2, 3), N, 0), id="cluster_values"),
+    pytest.param(lambda N: assemble_counts((1, 2, 3), N, t_value=0), id="assemble_counts"),
+    pytest.param(lambda N: assemble_counts((1, 2, 3), N), id="assemble_counts_polys"),
+    pytest.param(lambda N: cluster_polys((1, 2, 3), N), id="cluster_polys"),
+    pytest.param(lambda N: cluster_polys_shifted((1, 2, 3), N), id="cluster_polys_shifted"),
+    pytest.param(lambda N: cluster_dp.rank_orientations((1, 3, 2), N), id="rank_orientations"),
+])
+def test_negative_depth_is_refused(run, N):
+    with pytest.raises(ValueError, match="^N must be nonnegative$"):
+        run(N)
 
 
 def test_assemble_counts_examples():
@@ -405,6 +424,23 @@ def test_orientations_rank_by_spread_work():
     assert ranked[0][2] == assemble_counts((1, 4, 2, 3), 2 * 4 + 3, t_value=0)
     # a shallow run probes no deeper than it counts
     assert all(len(counts) == 6 for _w, _q, counts in cluster_dp.rank_orientations((1, 3, 2), 5))
+
+
+def test_probe_work_is_pinned():
+    # every member's probe work, for one pattern of each symmetry class of
+    # length 3-6: the router's ranking reads it, so the way `_spread` sums
+    # may change but the work it reports may not
+    seen, probes = set(), []
+    for k in range(3, 7):
+        for p in all_patterns(k):
+            if p not in seen:
+                seen.update(symmetry_class(p))
+                probes.append([(work, q) for work, q, _ in cluster_dp.rank_orientations(p, 3 * k)])
+    assert len(probes) == 234
+    assert sum(ranked[0][0] for ranked in probes) == 56_969
+    assert sum(work for ranked in probes for work, _q in ranked) == 239_880
+    assert hashlib.sha256(repr(probes).encode()).hexdigest() == (
+        "38e4cf9b87fe1579d777d515fc04eb6974e0e0d3ca099fbaea1a3af75b79dbd9")
 
 
 def test_split_ending_cluster_worked_example():
