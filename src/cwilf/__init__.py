@@ -6,7 +6,8 @@ and a cluster-based inclusion-exclusion (`cluster_dp`), both over exact
 arbitrary-precision arithmetic (`weightring`).  Both build on the pattern
 primitives (`patterns`); the series router is `analysis`, the command line
 `cli`, with every command but `count` in `survey`.  The brute-force oracles
-and the reference forms of the engines live apart, in `permcore`.
+live apart, in `permcore`; the naive forms of the engines, which only the
+tests run, live with the tests.
 
 Importing the package loads none of its modules.  Each public name in
 `__all__` is looked up in its home module when it is first read (PEP 562),
@@ -31,15 +32,7 @@ _HOME = {
     "reduction": "patterns",
     "reverse": "patterns",
     "symmetry_class": "patterns",
-    "ClusterWitness": "permcore",
-    "append_transition": "permcore",
-    "brute_cluster_enum": "permcore",
     "brute_weight_enum": "permcore",
-    "egf_identity_check": "permcore",
-    "extend_cluster": "permcore",
-    "step_append": "permcore",
-    "verify_321_equation": "permcore",
-    "weight_monomial": "permcore",
     "StateTable": "positive_dp",
     "enumerate_for_patterns": "positive_dp",
     "enumerate_series": "positive_dp",

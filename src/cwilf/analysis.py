@@ -11,7 +11,7 @@ counts with one engine never loads the other.  The weight ring
 (`weightring`) comes with the positive engine, whose factor table
 (`PatternAssignment`) lives there, and with the routes that build
 polynomials (tracking, brute force); the cluster engine's avoidance route
-never loads it.  Only brute force loads the reference side (`permcore`).
+never loads it.  Only brute force loads the oracles (`permcore`).
 
 Cross-checks, growth estimates and the hit parade live with the commands
 that use them (`survey`).

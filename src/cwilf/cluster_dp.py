@@ -30,9 +30,9 @@ most n!, so it is decoded from t = 2^B with B = bitlen(N!)+1; C_n(u) has
 nonnegative coefficients of at most n!*2^(n-k+1) (a permutation with its
 marked subset of at most n-k+1 occurrences), so it is decoded from u = 2^B
 with B = bitlen(N!)+N-k+2.  The table functions still accept `WeightPoly`
-weights, which the tests use as a reference.  Only the functions that
-build polynomials import the weight ring, so an avoidance series never
-loads it.
+weights, on which the tests compare them with the explicit extension.  Only
+the functions that build polynomials import the weight ring, so an
+avoidance series never loads it.
 
 Every member of a pattern's symmetry class has the same cluster numbers,
 but not the same tables: to n=200, 1423's tables hold 323,494 states and
@@ -40,8 +40,9 @@ take 134 times the `_spread` work of 3241's 19,495.  `rank_orientations`
 probes each member at a shallow depth and orders them by the work their
 tables took.
 
-The explicit one-atom extension, the ending-cluster chop and the identity
-checks that test these tables live on the reference side (`permcore`).
+The explicit one-atom extension, the ending-cluster chop, the cluster
+oracle and the identity checks that test these tables live with the tests
+(`tests/reference.py`).
 """
 
 from __future__ import annotations

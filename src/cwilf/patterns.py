@@ -5,8 +5,8 @@ and values are both 1-based throughout, which keeps every windowing formula
 aligned with the usual combinatorial conventions.
 
 The exceptions the command line maps to exit codes live here too, so a
-process that only counts imports this module and never the reference side
-(`permcore`).
+process that only counts imports this module and never the brute-force
+oracles (`permcore`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import itertools
 from collections.abc import Sequence
 
 DEFAULT_PERM_CAP = 10
-DEFAULT_CLUSTER_CAP = 9
 
 
 class OracleLimitError(RuntimeError):

@@ -12,15 +12,15 @@ of which gap between consecutive j-values the new rank lands in; the window's
 factor (0, 1, or a tracked variable) multiplies the weight.
 
 A table is stored in the groups that the next append reads (`StateTable`).
-`permcore.step_append` loops over every child rank i and is the reference.
-`step_append_aggregated` pulls each child from its one group of parents:
-all children of a group in one gap weigh the same, so the step writes one
-run per group and gap, split only where a factor changes inside it.  The
-next table's group totals are prefix sums of the runs' weights, and cells
-are expanded from the runs only where a split or `StateTable.cells` reads
-them.  Which factor applies where is worked out once per run, in a plan
-that each table hands on to its child.  The two steps must agree exactly
-on every input.
+The reference step, `step_append` in `tests/reference.py`, loops over
+every child rank i.  `step_append_aggregated` pulls each child from its
+one group of parents: all children of a group in one gap weigh the same,
+so the step writes one run per group and gap, split only where a factor
+changes inside it.  The next table's group totals are prefix sums of the
+runs' weights, and cells are expanded from the runs only where a split or
+`StateTable.cells` reads them.  Which factor applies where is worked out
+once per run, in a plan that each table hands on to its child.  The two
+steps must agree exactly on every input.
 
 The steps are generic over the weight ring: integers, or `WeightPoly` for
 the tests and the reference runs.  One `PatternAssignment` supplies every
@@ -308,7 +308,7 @@ def _at_width(plan: list, k: int, width: int, child: int) -> list:
 
 
 def step_append_aggregated(table: StateTable, assignment) -> StateTable:
-    """Same contract as `permcore.step_append`, pulled from retained-value groups.
+    """Same contract as the reference `step_append`, pulled from retained-value groups.
 
     A group's children come from no other group, and in its gap p only the
     new entry i varies: x2 is fixed, the key steps with i, and the weight is

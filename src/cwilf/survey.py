@@ -168,6 +168,8 @@ def _cmd_clusters(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    if args.all_s3 and args.patterns is not None:
+        raise ValueError("crosscheck got a pattern set and --all-s3; give one")
     if args.all_s3:
         pattern_sets = [(p,) for p in all_patterns(3)]
     elif args.patterns is not None:

@@ -17,19 +17,19 @@ from cwilf.cluster_dp import (
     _extension_slots,
 )
 from cwilf.patterns import all_patterns, reduction, symmetry_class
-from cwilf.permcore import (
-    brute_cluster_enum,
-    brute_weight_enum,
-    egf_identity_check,
-    split_ending_cluster,
-    state_of,
-    step_append,
-    verify_321_equation,
-    weight_monomial,
-)
+from cwilf.permcore import brute_weight_enum
 from cwilf.positive_dp import enumerate_series, step_append_aggregated
 from cwilf.weightring import PatternAssignment, WeightPoly
 from helpers import factorials, random_poly, random_state_table
+from reference import (
+    brute_cluster_enum,
+    egf_identity_check,
+    monotone_cluster_series,
+    split_ending_cluster,
+    state_of,
+    step_append,
+    weight_monomial,
+)
 
 
 @contextmanager
@@ -112,12 +112,13 @@ def test_c4_egf_identity():
 
 
 def test_c5_321_algebraic_equation():
-    with criterion("5 (321 algebraic equation)"):
-        report = verify_321_equation(30)
-        assert report.ok
-        match = report.matches[0]
-        assert match.residual_orders == ()
-        assert match.verified_to == 30
+    with criterion("5 (monotone cluster recurrence)"):
+        # for 321 the recurrence is the algebraic equation
+        # C(z) = u*z^3 + u*(z + z^2)*C(z), u = t - 1
+        for k in (3, 4, 5):
+            expected = monotone_cluster_series(k, 30)
+            for p in (tuple(range(1, k + 1)), tuple(range(k, 0, -1))):
+                assert cluster_polys_shifted(p, 30) == expected, p
 
 
 def test_c6_scale_targets():

@@ -414,6 +414,13 @@ def test_every_command_refuses_negative_n(argv):
     assert (code, out, err) == (cli.EXIT_USAGE, "", "error: --n must be nonnegative\n")
 
 
+def test_crosscheck_refuses_a_pattern_set_with_all_s3():
+    # the set would go unchecked behind the length-3 sweep
+    code, out, err = run_cli(["crosscheck", "1234", "--all-s3", "--n", "5"])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_hitparade_refuses_two_different_lengths():
     code, out, err = run_cli(["hitparade", "3", "--k", "4", "--n", "5"])
     assert (code, out) == (cli.EXIT_USAGE, "")

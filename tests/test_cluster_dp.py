@@ -19,17 +19,17 @@ from cwilf.cluster_dp import (
     _extension_slots,
 )
 from cwilf.patterns import all_patterns, format_pattern, symmetry_class
-from cwilf.permcore import (
-    EgfReport,
-    brute_cluster_enum,
-    brute_weight_enum,
-    egf_identity_check,
-    extend_cluster,
-    split_ending_cluster,
-    verify_321_equation,
-)
+from cwilf.permcore import brute_weight_enum
 from cwilf.weightring import PatternAssignment, WeightPoly
 from helpers import choose_orientation, factorials
+from reference import (
+    EgfReport,
+    brute_cluster_enum,
+    egf_identity_check,
+    extend_cluster,
+    monotone_cluster_series,
+    split_ending_cluster,
+)
 
 U = WeightPoly.variable(0, 1)
 S4_SAMPLE = [(1, 2, 3, 4), (1, 3, 2, 4), (1, 3, 4, 2), (4, 3, 2, 1)]
@@ -341,28 +341,21 @@ def test_egf_identity_detects_corruption():
     assert not egf_identity_check(P, C, 8).ok
 
 
-def test_verify_321_equation():
-    report = verify_321_equation(30)
-    assert report.ok
-    match = report.matches[0]
-    assert (match.sign, match.shift, match.negate_u) == (1, -1, True)
-    assert match.verified_to == 30
-    assert match.residual_orders == ()
-    # the candidate without the variable flip fails beyond the lowest order
-    naive = [c for c in report.candidates if not c.negate_u]
-    assert naive and all(c.residual_orders for c in naive)
-    with pytest.raises(ValueError):
-        verify_321_equation(4)
-
-
-def test_verify_321_lowest_terms():
+def test_monotone_cluster_recurrence():
+    # 12...k and k...1 have the same clusters: C_k = u and
+    # C_n = u * (C_{n-k+1} + ... + C_{n-1}); for 321 this is the algebraic
+    # equation C(z) = u*z^3 + u*(z + z^2)*C(z)
+    for k in (3, 4, 5):
+        expected = monotone_cluster_series(k, 30)
+        for p in (tuple(range(1, k + 1)), tuple(range(k, 0, -1))):
+            assert cluster_polys_shifted(p, 30) == expected, p
+    # one changed coefficient at n = 20 is caught
+    wrong = monotone_cluster_series(3, 30)
+    wrong[20] = wrong[20] + U ** 10
+    assert cluster_polys_shifted((3, 2, 1), 30) != wrong
     # the one-atom cluster: C_3(t) = t - 1
     c = cluster_polys((3, 2, 1), 3)
     assert c[3] == WeightPoly(1, {(1,): 1, (0,): -1})
-    # the algebraic equation's series starts at -(t-1)z^2, handled by the
-    # shift/negation normalization that verify_321_equation reports
-    report = verify_321_equation(10)
-    assert all(c.shift == -1 for c in report.candidates)
 
 
 def test_choose_representative():

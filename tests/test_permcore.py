@@ -16,16 +16,15 @@ from cwilf.patterns import (
     reverse,
     symmetry_class,
 )
-from cwilf.permcore import (
+from cwilf.permcore import brute_avoider_count, brute_weight_enum
+from cwilf.weightring import PatternAssignment, WeightPoly
+from helpers import factorials, filtering_cluster_enum
+from reference import (
     ClusterWitness,
-    brute_avoider_count,
     brute_cluster_enum,
-    brute_weight_enum,
     iter_cluster_witnesses,
     weight_monomial,
 )
-from cwilf.weightring import PatternAssignment, WeightPoly
-from helpers import factorials, filtering_cluster_enum
 
 
 def test_reduction_examples():

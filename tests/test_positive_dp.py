@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 
 from cwilf import patterns, positive_dp
 from cwilf.patterns import all_patterns
-from cwilf.permcore import (
-    append_transition,
-    brute_avoider_count,
-    brute_weight_enum,
-    pack,
-    state_of,
-    step_append,
-)
+from cwilf.permcore import brute_avoider_count, brute_weight_enum
 from cwilf.positive_dp import (
     PackedAssignment,
     StateTable,
@@ -27,6 +20,12 @@ from cwilf.positive_dp import (
 )
 from cwilf.weightring import PatternAssignment, WeightPoly
 from helpers import factorials, random_cells, random_state_table
+from reference import (
+    append_transition,
+    pack,
+    state_of,
+    step_append,
+)
 
 ALL_ONE_3 = PatternAssignment.all_one(3)
 

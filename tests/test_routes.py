@@ -1,11 +1,12 @@
 """Which modules each command loads, and where each name lives.
 
 A `count` process compiles only the parser, the router, the pattern
-primitives and its engine: the reference side (`permcore`) and the other
-commands (`survey`) stay unloaded.  Each name is defined in one module and
-read from there: no module but the package forwards names (PEP 562), and
-no module imports a sibling's name only to hand it on.  Where a module
-does read a sibling's name, it holds the home's object, not a copy.
+primitives and its engine: the brute-force oracles (`permcore`) and the
+other commands (`survey`) stay unloaded.  Each name is defined in one
+module and read from there: no module but the package forwards names
+(PEP 562), and no module imports a sibling's name only to hand it on.
+Where a module does read a sibling's name, it holds the home's object, not
+a copy.
 """
 
 import ast
@@ -87,12 +88,31 @@ def test_every_name_has_one_home():
         assert imported <= used, (path.stem, sorted(imported - used))
 
 
+def test_permcore_holds_only_oracles():
+    # every function or class of `permcore` is run by a command (read as
+    # `permcore.<name>` in the router or the survey commands) or by another
+    # `permcore` function; the naive forms live in tests/reference.py
+    def tree(stem):
+        return ast.parse((SRC / "cwilf" / f"{stem}.py").read_text())
+
+    defs = [node for node in tree("permcore").body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    read = {node.attr for stem in ("analysis", "survey") for node in ast.walk(tree(stem))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "permcore"}
+    read |= {node.id for fn in defs if isinstance(fn, ast.FunctionDef)
+             for stmt in fn.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Name) and node.id != fn.name}
+    unread = sorted({node.name for node in defs} - read)
+    assert not unread, unread
+
+
 # (reading module, name, home): the primitives that moved to `patterns` and
 # are still read where they used to live
 SHARED = [
     *(("permcore", name, "patterns") for name in (
-        "DEFAULT_CLUSTER_CAP", "DEFAULT_PERM_CAP", "OracleLimitError", "all_patterns",
-        "format_pattern", "is_permutation", "occurrences", "reduction")),
+        "DEFAULT_PERM_CAP", "OracleLimitError", "all_patterns", "is_permutation",
+        "occurrences", "reduction")),
     ("weightring", "InconsistentResult", "patterns"),
 ]
 

@@ -13,7 +13,6 @@ import random
 import pytest
 
 from cwilf.patterns import all_patterns
-from cwilf.permcore import step_append
 from cwilf.positive_dp import (
     PackedAssignment,
     StateTable,
@@ -23,6 +22,7 @@ from cwilf.positive_dp import (
     step_append_aggregated,
 )
 from cwilf.weightring import PatternAssignment, WeightPoly
+from reference import step_append
 
 # first and last entries adjacent in value: the window factor moves as the
 # new entry passes the dropped value, so the pulled step splits gaps

@@ -16,8 +16,8 @@ from cwilf.weightring import (
     unpack,
 )
 from cwilf.patterns import occurrences, reduction
-from cwilf.permcore import pack
 from helpers import random_poly
+from reference import pack
 
 T = WeightPoly.variable(0, 1)
 ONE = WeightPoly.const(1, 1)
