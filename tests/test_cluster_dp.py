@@ -353,9 +353,28 @@ def test_monotone_cluster_recurrence():
     wrong = monotone_cluster_series(3, 30)
     wrong[20] = wrong[20] + U ** 10
     assert cluster_polys_shifted((3, 2, 1), 30) != wrong
+
+
+def test_verify_321_equation():
+    # C(z) = u*z^3 + u*(z + z^2)*C(z), coefficient by coefficient to n = 30
+    C = cluster_polys_shifted((3, 2, 1), 30)
+    zero = WeightPoly.zero(1)
+    assert C[:3] == [zero] * 3
+    assert C[3] == U
+    for n in range(4, 31):
+        assert C[n] == U * (C[n - 1] + C[n - 2]), n
+    # dropping the z^2 term (two atoms overlapping in one entry only)
+    # fails from n = 5 on
+    assert C[5] != U * C[4]
+
+
+def test_verify_321_lowest_terms():
     # the one-atom cluster: C_3(t) = t - 1
     c = cluster_polys((3, 2, 1), 3)
     assert c[3] == WeightPoly(1, {(1,): 1, (0,): -1})
+    # in u = t - 1 the series starts u*z^3 + u^2*z^4 + (u^2 + u^3)*z^5
+    C = cluster_polys_shifted((3, 2, 1), 5)
+    assert C[3:] == [U, U ** 2, U ** 2 + U ** 3]
 
 
 def test_choose_representative():
