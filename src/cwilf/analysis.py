@@ -2,9 +2,10 @@
 
 One router, `_series`, serves `count`, `growth`, `hitparade` and every
 `crosscheck` column of a non-empty family: it alone picks the engine, the
-class label, the member list and the member that runs, guards the
-brute-force depth and runs the runtime checks.  The engines are exact, and
-so is everything here.
+member list and the label, guards the brute-force depth and runs the
+runtime checks.  On the cluster engine the class, its label and the member
+that runs come from `_cluster_route`, which `clusters` calls too.  The
+engines are exact, and so is everything here.
 
 Each route imports the engine it runs where it runs it, so a process that
 counts with one engine never loads the other.  The weight ring
@@ -22,13 +23,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .patterns import (
-    DEFAULT_PERM_CAP,
-    InconsistentResult,
-    OracleLimitError,
-    format_pattern,
-    symmetry_class,
-)
+from .patterns import InconsistentResult, _refuse_above_cap, format_pattern, symmetry_class
+
 
 class SeriesReport:
     """One pattern (or pattern set) with its computed series and metadata."""
@@ -71,14 +67,6 @@ def tracked_series(track: Sequence[Sequence[int]], avoid: Sequence[Sequence[int]
     return _series(avoid, track, N, engine, cap)
 
 
-def _refuse_above_cap(N: int, cap: int | None) -> None:
-    """Refuse brute force to size N above the cap before it burns minutes on
-    the sizes below (`OracleLimitError`)."""
-    limit = DEFAULT_PERM_CAP if cap is None else cap
-    if N > limit:
-        raise OracleLimitError(f"oracle limit: n={N} exceeds cap {limit}")
-
-
 def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: int,
             engine: str = "auto", cap: int | None = None) -> SeriesReport:
     """The one route from a query to its report: engine, label, members, checks.
@@ -87,7 +75,7 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
     and a set to the positive engine; with no pattern the terms are n!.
     brute runs only when asked and refuses an N above the cap up front.
     The cluster engine runs the cheapest member of the pattern's symmetry
-    class, checked against the others (`_cluster_terms`), and reports the
+    class, checked against the others (`_cluster_route`), and reports the
     lexicographically smallest member, the first of the sorted class, as
     the representative: counts are identical across the class but the work
     is not, so the label is fixed and the run is chosen.  (The overlap set
@@ -113,15 +101,17 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
     single = len(patterns) == 1
     if engine == "auto":
         engine = "cluster" if single else "positive"
-    members = (symmetry_class(patterns[0])
-               if single and (engine == "cluster" or not track) else patterns)
+    members = symmetry_class(patterns[0]) if single and not track else patterns
     rep = text
     if engine == "cluster":
         if not single:
             raise ValueError("cluster engine tracks a single pattern" if track
                              else "cluster engine handles a single pattern")
-        rep = format_pattern(members[0])
-        terms = _cluster_terms(patterns[0], N, bool(track))
+        from . import cluster_dp
+
+        members, rep, run, check_members = _cluster_route(patterns[0], N)
+        terms = cluster_dp.assemble_counts(run, N, None if track else 0)
+        check_members([w.coefficient((0,)) for w in terms] if track else terms)
     elif engine == "positive":
         from . import positive_dp
 
@@ -150,28 +140,32 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
     return SeriesReport(text, rep, tuple(map(format_pattern, members)), engine, terms)
 
 
-def _cluster_terms(p: tuple[int, ...], N: int, tracked: bool) -> list:
-    """The series of one pattern to size N on its cheapest orientation:
-    polynomials if tracked, else the counts at t = 0.
+def _cluster_route(p: tuple[int, ...], N: int):
+    """The cluster engine's choice for one pattern to size N: (members,
+    label, run, check_members).
 
-    Every member of the class is probed (`cluster_dp.rank_orientations`),
-    and the run's values at t = 0 must equal each member's probe counts:
-    the other members build different tables, so a fault in the tables of
-    one shows as a mismatch (`InconsistentResult`).
+    Every member of p's symmetry class is probed
+    (`cluster_dp.rank_orientations`); the class is sorted, its first member
+    is the label and the cheapest member runs.  check_members takes the
+    run's avoidance counts and raises `InconsistentResult` unless they equal
+    each member's probe counts: the other members build different tables,
+    so a fault in the tables of one shows as a mismatch.
     """
     from . import cluster_dp
 
     ranked = cluster_dp.rank_orientations(p, N)
     run = ranked[0][1]
-    terms = cluster_dp.assemble_counts(run, N, None if tracked else 0)
-    at_zero = [w.coefficient((0,)) for w in terms] if tracked else terms
-    for _work, q, counts in ranked:
-        for n, (a, b) in enumerate(zip(at_zero, counts)):
-            if a != b:
-                raise InconsistentResult(
-                    f"avoidance count a_{n} = {a} on {format_pattern(run)}, "
-                    f"{b} on {format_pattern(q)}")
-    return terms
+
+    def check_members(counts: Sequence[int]) -> None:
+        for _work, q, probe in ranked:
+            for n, (a, b) in enumerate(zip(counts, probe)):
+                if a != b:
+                    raise InconsistentResult(
+                        f"avoidance count a_{n} = {a} on {format_pattern(run)}, "
+                        f"{b} on {format_pattern(q)}")
+
+    members = tuple(sorted(q for _work, q, _probe in ranked))
+    return members, format_pattern(members[0]), run, check_members
 
 
 def _check_initial_terms(patterns: Sequence[tuple[int, ...]], terms: Sequence[int]) -> None:

@@ -147,13 +147,7 @@ def _survey(args) -> int:
     return survey.HANDLERS[args.command](args)
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "clusters": _survey,
-    "crosscheck": _survey,
-    "hitparade": _survey,
-    "growth": _survey,
-}
+_HANDLERS = {"count": _cmd_count}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -164,7 +158,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.n is not None and args.n < 0:  # every command has --n
             raise ValueError("--n must be nonnegative")
-        code = _HANDLERS[args.command](args)
+        code = _HANDLERS.get(args.command, _survey)(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:

@@ -53,13 +53,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add
 
-from .patterns import is_permutation, reduction, symmetry_class
-
-def _check_pattern(p: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(p)
-    if len(p) < 2 or not is_permutation(p):
-        raise ValueError(f"invalid pattern {p}")
-    return p
+from .patterns import _check_pattern, reduction, symmetry_class
 
 
 def _check_depth(N: int) -> None:

@@ -21,6 +21,14 @@ class OracleLimitError(RuntimeError):
     """Raised when a brute-force size exceeds the configured cap."""
 
 
+def _refuse_above_cap(n: int, cap: int | None) -> None:
+    """Refuse brute force to size n above the cap (default `DEFAULT_PERM_CAP`)
+    before it burns minutes on the sizes below (`OracleLimitError`)."""
+    limit = DEFAULT_PERM_CAP if cap is None else cap
+    if n > limit:
+        raise OracleLimitError(f"oracle limit: n={n} exceeds cap {limit}")
+
+
 class InconsistentResult(ArithmeticError):
     """A computed result failed an exact check it must satisfy."""
 
@@ -42,6 +50,14 @@ def reduction(values: Sequence) -> tuple[int, ...]:
 
 def is_permutation(word: Sequence[int]) -> bool:
     return sorted(word) == list(range(1, len(word) + 1))
+
+
+def _check_pattern(p: Sequence[int]) -> tuple[int, ...]:
+    """p as a tuple, if it is a permutation of length at least 2."""
+    p = tuple(p)
+    if len(p) < 2 or not is_permutation(p):
+        raise ValueError(f"invalid pattern {p}")
+    return p
 
 
 def all_patterns(k: int) -> list[tuple[int, ...]]:

@@ -18,14 +18,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
-from .patterns import (
-    DEFAULT_PERM_CAP,
-    OracleLimitError,
-    all_patterns,
-    is_permutation,
-    occurrences,
-    reduction,
-)
+from .patterns import _check_pattern, _refuse_above_cap, all_patterns, occurrences, reduction
 
 
 @lru_cache(maxsize=None)
@@ -66,9 +59,7 @@ def brute_weight_enum(n: int, k: int, assignment: PatternAssignment,
                          "not the shorter patterns of an assignment")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cap = DEFAULT_PERM_CAP if cap is None else cap
-    if n > cap:
-        raise OracleLimitError(f"oracle limit: n={n} exceeds cap {cap}")
+    _refuse_above_cap(n, cap)
     patterns = all_patterns(k)
     total = 0
     for counts, mult in _occurrence_profile(n, k):
@@ -94,13 +85,8 @@ def brute_avoider_count(patterns: Iterable[Sequence[int]], n: int,
     Unlike `brute_weight_enum` this takes patterns of mixed lengths, each
     checked with windows of its own length.
     """
-    pats = [tuple(p) for p in patterns]
-    for p in pats:
-        if len(p) < 2 or not is_permutation(p):
-            raise ValueError(f"invalid pattern {p}")
-    cap = DEFAULT_PERM_CAP if cap is None else cap
-    if n > cap:
-        raise OracleLimitError(f"oracle limit: n={n} exceeds cap {cap}")
+    pats = [_check_pattern(p) for p in patterns]
+    _refuse_above_cap(n, cap)
     count = 0
     for pi in itertools.permutations(range(1, n + 1)):
         if all(not occurrences(pi, p) for p in pats):

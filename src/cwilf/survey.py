@@ -5,7 +5,10 @@ process never compiles it.  Besides their handlers it holds what only they
 use: the cross-method comparison (`cross_check`), the growth estimate from
 term ratios and the ranking of the patterns of a given length by how many
 permutations avoid them (`hit_parade`).  Floats appear here and nowhere
-else.  Every series still comes from the router (`analysis._series`).
+else.  Every series still comes from the router (`analysis._series`), and
+`clusters` takes its class, label and run member from the router's
+`analysis._cluster_route`: its C_n(t) comes from the cheapest member,
+whose counts at t = 0 must equal every member's probe counts.
 """
 
 from __future__ import annotations
@@ -13,14 +16,14 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .analysis import SeriesReport, _refuse_above_cap, _series, avoidance_series
+from .analysis import SeriesReport, _cluster_route, _series, avoidance_series
 from .cli import EXIT_INCONSISTENT, EXIT_OK, _emit, _emit_json, _resolve_cap
 from .patterns import (
+    _refuse_above_cap,
     all_patterns,
     format_pattern,
     parse_pattern,
     parse_pattern_set,
-    symmetry_class,
 )
 
 # Series depth mirroring what the engines are expected to sustain per
@@ -156,11 +159,12 @@ def _cmd_clusters(args) -> int:
     p = parse_pattern(args.pattern)
     from . import cluster_dp
 
-    terms = cluster_dp.cluster_polys(p, args.n)
+    members, label, run, check_members = _cluster_route(p, args.n)
+    terms = cluster_dp.cluster_polys(run, args.n)
+    check_members(cluster_dp._chop([c.coefficient((0,)) for c in terms], len(p)))
     if args.format == "json":
-        members = tuple(map(format_pattern, symmetry_class(p)))
-        _emit_json(SeriesReport(format_pattern(p), members[0], members, "cluster",
-                                terms).to_json_dict())
+        _emit_json(SeriesReport(format_pattern(p), label, tuple(map(format_pattern, members)),
+                                "cluster", terms).to_json_dict())
     else:
         for n, c in enumerate(terms):
             _emit(f"C[{n}] = {c}")

@@ -27,7 +27,8 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 from cwilf.patterns import (
-    OracleLimitError,
+    _check_pattern,
+    _refuse_above_cap,
     format_pattern,
     is_permutation,
     occurrences,
@@ -97,10 +98,8 @@ def iter_cluster_witnesses(n: int, p: Sequence[int]) -> Iterator[ClusterWitness]
     candidates whose final window reduces to the pattern.  Each cluster is
     produced exactly once since chopping its last atom is deterministic.
     """
-    p = tuple(p)
+    p = _check_pattern(p)
     k = len(p)
-    if k < 2 or not is_permutation(p):
-        raise ValueError(f"invalid pattern {p}")
     if n < k:
         return
     stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [(p, (1,))]
@@ -126,9 +125,7 @@ def iter_cluster_witnesses(n: int, p: Sequence[int]) -> Iterator[ClusterWitness]
 
 def brute_cluster_enum(n: int, p: Sequence[int], cap: int | None = None) -> WeightPoly:
     """Weight enumerator of length-n clusters, (t-1) per atom, in the t basis."""
-    cap = DEFAULT_CLUSTER_CAP if cap is None else cap
-    if n > cap:
-        raise OracleLimitError(f"oracle limit: n={n} exceeds cap {cap}")
+    _refuse_above_cap(n, DEFAULT_CLUSTER_CAP if cap is None else cap)
     by_atoms: dict[int, int] = {}
     for w in iter_cluster_witnesses(n, p):
         r = len(w.atoms)
@@ -246,7 +243,7 @@ def extend_cluster(state: Sequence[int], n: int, m: int,
     occurrence.  Each returned tuple is one cluster extension; on the full
     sorted state, this is the reference for `cluster_dp.cluster_tables`.
     """
-    from cwilf.cluster_dp import _check_pattern, _extension_slots, overlap_set
+    from cwilf.cluster_dp import _extension_slots, overlap_set
 
     p = _check_pattern(p)
     k = len(p)
@@ -271,8 +268,6 @@ def split_ending_cluster(pi: Sequence[int], starts: Sequence[int],
     ending-cluster starts).  The remainder keeps its original values; the
     ending cluster's windows occupy a contiguous final block.
     """
-    from cwilf.cluster_dp import _check_pattern
-
     pi = tuple(pi)
     p = _check_pattern(p)
     k = len(p)

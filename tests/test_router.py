@@ -1,8 +1,8 @@
 """The series router behind `count`, `growth` and `hitparade`, end to end.
 
 Pins the report fields each route gives, the cheapest-member cross-check
-on the tracked cluster route, terms too long for Python's default
-int-to-text limit, and the README's command-line examples.
+on the tracked cluster route and on `clusters`, terms too long for
+Python's default int-to-text limit, and the README's command-line examples.
 """
 
 import contextlib
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from cwilf import cli, cluster_dp
+from cwilf.patterns import all_patterns, format_pattern, symmetry_class
 from helpers import choose_orientation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -109,6 +110,51 @@ def test_tracked_cluster_runs_the_cheapest_member_under_the_lex_min_label(monkey
     assert code == 0
     assert json.loads(out)["representative"] == "132"
     assert ran == [choose_orientation((1, 3, 2), 20)] != [(1, 3, 2)]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_clusters_prints_the_same_for_every_member_of_a_class(k):
+    # C_n(t) is the same for every member; only the JSON "pattern" field
+    # names the one given
+    for p in all_patterns(k):
+        if p != symmetry_class(p)[0]:
+            continue
+        outputs = set()
+        for q in symmetry_class(p):
+            text = format_pattern(q)
+            code, out, err = run_cli(["clusters", text, "--n", "12"])
+            jcode, jout, jerr = run_cli(["clusters", text, "--n", "12", "--format", "json"])
+            data = json.loads(jout)
+            assert (code, err, jcode, jerr, data.pop("pattern")) == (0, "", 0, "", text)
+            outputs.add((out, json.dumps(data)))
+        assert len(outputs) == 1, p
+
+
+def test_clusters_runs_the_cheapest_member(monkeypatch):
+    # the probes build every member's tables to 2k+3 = 11; only the member
+    # that runs goes deeper
+    run = choose_orientation((1, 4, 2, 3), 60)
+    assert run == (3, 2, 4, 1)
+    honest = cluster_dp.cluster_tables
+    built = []
+
+    def spy(p, N, u, work=None):
+        built.append((tuple(p), N))
+        return honest(p, N, u, work)
+
+    monkeypatch.setattr(cluster_dp, "cluster_tables", spy)
+    code, out, err = run_cli(["clusters", "1423", "--n", "60"])
+    assert (code, err, len(out.splitlines())) == (0, "", 61)
+    assert [p for p, N in built if N > 11] == [run]
+
+
+def test_clusters_member_that_only_probes_exits_4(monkeypatch):
+    # one wrong table at n=5 of the lex-min member 132, which does not run
+    assert choose_orientation((1, 3, 2), 20) != (1, 3, 2)
+    monkeypatch.setattr(cluster_dp, "cluster_tables", _corrupt_tables_of((1, 3, 2), 5))
+    code, out, err = run_cli(["clusters", "231", "--n", "20"])
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert len(err.splitlines()) == 1 and err.endswith(" on 132\n")
 
 
 def test_terms_longer_than_the_int_text_limit_print():

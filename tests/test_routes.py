@@ -107,12 +107,50 @@ def test_permcore_holds_only_oracles():
     assert not unread, unread
 
 
+def _functions_where(match):
+    """`module.function` for each function of src/cwilf whose own body (not
+    a nested function's) holds a node that `match` accepts."""
+    found = set()
+    for path in sorted((SRC / "cwilf").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            todo = list(fn.body)
+            while todo:
+                node = todo.pop()
+                if match(node):
+                    found.add(f"{path.stem}.{fn.name}")
+                todo.extend(child for child in ast.iter_child_nodes(node)
+                            if not isinstance(child, ast.FunctionDef))
+    return found
+
+
+def _raises(node, exc, text=""):
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == exc and text in ast.unparse(node.exc))
+
+
+def test_each_input_rule_has_one_home():
+    # the brute-force cap and the pattern check are each raised in one
+    # function, which every route calls; `clusters` takes its class from
+    # the router
+    assert _functions_where(lambda node: _raises(node, "OracleLimitError")) == {
+        "patterns._refuse_above_cap"}
+    assert _functions_where(lambda node: _raises(node, "ValueError", "invalid pattern")) == {
+        "patterns._check_pattern"}
+    survey = ast.parse((SRC / "cwilf" / "survey.py").read_text())
+    clusters = next(node for node in survey.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_cmd_clusters")
+    read = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(clusters)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "symmetry_class" not in read
+    assert "_cluster_route" in read
+
+
 # (reading module, name, home): the primitives that moved to `patterns` and
 # are still read where they used to live
 SHARED = [
-    *(("permcore", name, "patterns") for name in (
-        "DEFAULT_PERM_CAP", "OracleLimitError", "all_patterns", "is_permutation",
-        "occurrences", "reduction")),
+    *(("permcore", name, "patterns") for name in ("all_patterns", "occurrences", "reduction")),
     ("weightring", "InconsistentResult", "patterns"),
 ]
 
