@@ -4,8 +4,9 @@ One router, `_series`, serves `count`, `growth`, `hitparade` and every
 `crosscheck` column of a non-empty family: it alone picks the engine, the
 member list and the label, guards the brute-force depth and runs the
 runtime checks.  On the cluster engine the class, its label and the member
-that runs come from `_cluster_route`, which `clusters` calls too.  The
-engines are exact, and so is everything here.
+that runs come from `_cluster_route`, which `clusters` calls too, as it
+does the two-atom check (`_check_two_atoms`).  The engines are exact, and
+so is everything here.
 
 Each route imports the engine it runs where it runs it, so a process that
 counts with one engine never loads the other.  The weight ring
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import lru_cache
 
 from .patterns import InconsistentResult, _refuse_above_cap, format_pattern, symmetry_class
 
@@ -86,8 +88,8 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
 
     Avoidance terms are integers whose terms below and at the shortest
     pattern length must match their closed form; tracked terms are
-    polynomials whose values at 1 and first moments must match theirs when
-    nothing is forbidden (`InconsistentResult` on a mismatch).
+    polynomials whose values at 1, first and second moments must match
+    theirs when nothing is forbidden (`InconsistentResult` on a mismatch).
     """
     avoid = tuple(tuple(p) for p in avoid)
     track = tuple(tuple(p) for p in track)
@@ -136,7 +138,7 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
         terms = [w if isinstance(w, int) else w.constant_value() for w in terms]
         _check_initial_terms(avoid, terms)
     elif not avoid:
-        _check_first_moments(track, terms)
+        _check_moments(track, terms)
     return SeriesReport(text, rep, tuple(map(format_pattern, members)), engine, terms)
 
 
@@ -179,27 +181,110 @@ def _check_initial_terms(patterns: Sequence[tuple[int, ...]], terms: Sequence[in
             raise InconsistentResult(f"avoidance count a_{n} = {a}, expected {expected}")
 
 
-def _check_first_moments(track: Sequence[tuple[int, ...]], terms: Sequence[WeightPoly]) -> None:
+def _check_moments(track: Sequence[tuple[int, ...]], terms: Sequence[WeightPoly]) -> None:
+    """The first and second moments of every term, each read off its items
+    (`_check_first_moments`, `_check_second_moments`)."""
+    fact = 1
+    for n, poly in enumerate(terms):
+        fact *= n or 1
+        items = poly.items()
+        _check_first_moments(track, n, fact, items)
+        _check_second_moments(track, n, fact, items)
+
+
+def _check_first_moments(track: Sequence[tuple[int, ...]], n: int, fact: int, items) -> None:
     """P_n(1) = n! and dP_n/dt_i(1) = (n-m+1) n!/m! for tracked pattern i of length m.
 
     A uniform permutation of size n has n-m+1 windows of length m, each of
     which reduces to a given pattern with probability 1/m!.
     """
-    fact = 1
-    for n, poly in enumerate(terms):
-        fact *= n or 1
-        mass = 0
-        moments = [0] * len(track)
-        for exps, c in poly.items():
-            mass += c
-            for i, e in enumerate(exps):
-                moments[i] += c * e
-        if mass != fact:
-            raise InconsistentResult(f"P_{n}(1) = {mass}, expected {fact}")
-        for p, got in zip(track, moments):
-            m = len(p)
-            expected = (n - m + 1) * (fact // math.factorial(m)) if n >= m else 0
+    mass = sum(c for _exps, c in items)
+    if mass != fact:
+        raise InconsistentResult(f"P_{n}(1) = {mass}, expected {fact}")
+    for i, p in enumerate(track):
+        m = len(p)
+        got = sum(c * exps[i] for exps, c in items)
+        expected = (n - m + 1) * (fact // math.factorial(m)) if n >= m else 0
+        if got != expected:
+            raise InconsistentResult(
+                f"first moment of {format_pattern(p)} in P_{n}: {got}, "
+                f"expected {expected}")
+
+
+def _check_second_moments(track: Sequence[tuple[int, ...]], n: int, fact: int, items) -> None:
+    """The sum of c e_i e_j over the terms c t^e of P_n is n! E[X_i X_j] for
+    tracked patterns i <= j, X_i counting occurrences (`_second_moment`)."""
+    for i, a in enumerate(track):
+        for j, b in enumerate(track[i:], start=i):
+            got = sum(c * exps[i] * exps[j] for exps, c in items)
+            expected = _second_moment(a, b, n, fact)
             if got != expected:
+                names = " and ".join(dict.fromkeys(map(format_pattern, (a, b))))
                 raise InconsistentResult(
-                    f"first moment of {format_pattern(p)} in P_{n}: {got}, "
-                    f"expected {expected}")
+                    f"second moment of {names} in P_{n}: {got}, expected {expected}")
+
+
+def _second_moment(a: tuple[int, ...], b: tuple[int, ...], n: int, fact: int) -> int:
+    """n! E[X_a X_b] over S_n, from the pairs of an a-window and a b-window.
+
+    Disjoint windows take C(n-k_a-k_b+2, 2) placements in each order, each
+    pair reducing to a and b in n!/(k_a! k_b!) permutations.  Windows that
+    meet span L entries and take n-L+1 placements, each in e n!/L!
+    permutations, e counting the orders of the span that reduce to a and to
+    b at their windows (`_window_pairs`).
+    """
+    ka, kb = len(a), len(b)
+    total = sum((n - L + 1) * e * (fact // math.factorial(L))
+                for L, e in _window_pairs(a, b) if e and n >= L)
+    if n >= ka + kb:
+        total += (2 * math.comb(n - ka - kb + 2, 2)
+                  * (fact // (math.factorial(ka) * math.factorial(kb))))
+    return total
+
+
+def _check_two_atoms(p: tuple[int, ...], shifted: Sequence[WeightPoly]) -> None:
+    """[u]C_n = [n = k] and [u^2]C_n = e(n-k) for the cluster enumerators
+    C_n(u) of a pattern of length k, e(d) counting the two-atom clusters
+    whose second atom starts d after the first (`_window_pairs`; 0 unless
+    0 < d < k)."""
+    k = len(p)
+    two_atoms = _window_pairs(p, p)  # offset d at index d+k-1
+    for n, c in enumerate(shifted):
+        d = n - k
+        for i, expected in ((1, int(d == 0)), (2, two_atoms[d + k - 1][1] if 0 < d < k else 0)):
+            got = c.coefficient((i,))
+            if got != expected:
+                raise InconsistentResult(f"[u^{i}]C_{n} = {got}, expected {expected}")
+
+
+@lru_cache(maxsize=None)
+def _window_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(L, e) per offset d = -(k_b-1)..k_a-1 of a b-window from an a-window
+    that meets it: L entries spanned, and e orders of the span in which
+    both windows reduce to their patterns.
+
+    e counts the linear extensions of the two windows' orders by a DP over
+    the sets of positions that hold the smallest values, at most 2^L of
+    them for L <= k_a+k_b-1; neither engine is involved.
+    """
+    ka, kb = len(a), len(b)
+    out = []
+    for d in range(1 - kb, ka):
+        lo = min(0, d)
+        L = max(ka, d + kb) - lo
+        below = [0] * L  # below[x]: the positions whose values must be smaller than x's
+        for p, start in ((a, -lo), (b, d - lo)):
+            for i, v in enumerate(p):
+                for j, w in enumerate(p):
+                    if w < v:
+                        below[start + i] |= 1 << (start + j)
+        ways = {0: 1}
+        for _ in range(L):
+            nxt: dict = {}
+            for done, w in ways.items():
+                for x in range(L):
+                    if not done >> x & 1 and below[x] & done == below[x]:
+                        nxt[done | 1 << x] = nxt.get(done | 1 << x, 0) + w
+            ways = nxt
+        out.append((L, ways.get((1 << L) - 1, 0)))
+    return tuple(out)

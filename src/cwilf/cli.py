@@ -11,17 +11,20 @@ on any command, `crosscheck` included, a packed polynomial that fails its
 P_n(1) = n! check, an avoidance series whose first terms are not n! (n < k)
 and k! - |set| (n = k), or a tracked series with nothing forbidden whose
 P_n(1) is not n! or whose first moment in a tracked pattern of length m is
-not (n-m+1) n!/m!, or two members of a pattern's symmetry class that
-disagree on its counts at t = 0, avoided or tracked, 130 interrupted
-(Ctrl-C), 141 stdout closed by its reader (128 + SIGPIPE). `count` makes
-one call into the router (`analysis._series`), `crosscheck` one per engine
-it compares, and terms of any length print: `main` lifts Python's
-int-to-text digit limit.
+not (n-m+1) n!/m! or whose second moment in a tracked pattern or pair of
+them is not the window-pair count (`analysis._second_moment`), a `clusters`
+enumerator C_n(1+u) whose [u] is not [n = k] or whose [u^2] is not the
+number of two-atom clusters of length n, or two members of a pattern's
+symmetry class that disagree on its counts at t = 0, avoided, tracked or
+on `clusters`, 130 interrupted (Ctrl-C), 141 stdout closed by its reader
+(128 + SIGPIPE). `count` makes one call into the router
+(`analysis._series`), `crosscheck` one per engine it compares, and terms
+of any length print: `main` lifts Python's int-to-text digit limit.
 
-Only `count` is handled here.  The other four commands live in `survey`,
-which `main` imports when one of them runs, so a `count` process compiles
-the parser, the router, the pattern primitives and its engine, and no other
-command's code.
+Only `count` is handled here (`_HANDLERS`).  `main` sends the other four
+commands to `survey`, imported when one of them runs, so a `count` process
+compiles the parser, the router, the pattern primitives and its engine,
+and no other command's code.
 """
 
 from __future__ import annotations

@@ -294,7 +294,10 @@ def _at_width(plan: list, k: int, width: int, child: int) -> list:
                     copies.append((width * (fields - 1 - field[0]), mask, offset))
             factors = dict(fixed)
             # 0/1 factors start from the sum when fewer totals are left out;
-            # a power of two, as packed variables are, shifts
+            # a power of two, as packed variables are, shifts.  Both pay:
+            # with every factor a plain multiply, in-process `count --track
+            # "123;321" --n 24` took 60 ms instead of 36 (medians of 11
+            # runs, 2 shared vCPUs, Python 3.11.7)
             from_sum = [(d, -1) for d in range(k - 1) if d not in factors]
             start = all(f == 1 for f in factors.values()) and len(from_sum) < len(factors)
             terms = [(d, None, 0) if start or g == 1 else (d, lshift, g.bit_length() - 1)

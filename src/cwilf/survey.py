@@ -8,7 +8,8 @@ permutations avoid them (`hit_parade`).  Floats appear here and nowhere
 else.  Every series still comes from the router (`analysis._series`), and
 `clusters` takes its class, label and run member from the router's
 `analysis._cluster_route`: its C_n(t) comes from the cheapest member,
-whose counts at t = 0 must equal every member's probe counts.
+whose counts at t = 0 must equal every member's probe counts and whose
+terms in u = t - 1 must pass the two-atom check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .analysis import SeriesReport, _cluster_route, _series, avoidance_series
+from .analysis import (
+    SeriesReport,
+    _check_two_atoms,
+    _cluster_route,
+    _series,
+    avoidance_series,
+)
 from .cli import EXIT_INCONSISTENT, EXIT_OK, _emit, _emit_json, _resolve_cap
 from .patterns import (
     _refuse_above_cap,
@@ -158,9 +165,12 @@ def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:
 def _cmd_clusters(args) -> int:
     p = parse_pattern(args.pattern)
     from . import cluster_dp
+    from .weightring import compose_shift
 
     members, label, run, check_members = _cluster_route(p, args.n)
-    terms = cluster_dp.cluster_polys(run, args.n)
+    shifted = cluster_dp.cluster_polys_shifted(run, args.n)
+    _check_two_atoms(run, shifted)
+    terms = [compose_shift(c, -1) for c in shifted]
     check_members(cluster_dp._chop([c.coefficient((0,)) for c in terms], len(p)))
     if args.format == "json":
         _emit_json(SeriesReport(format_pattern(p), label, tuple(map(format_pattern, members)),

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
 from cwilf import analysis, cluster_dp, positive_dp
 from cwilf.analysis import avoidance_series, tracked_series
-from cwilf.patterns import all_patterns
+from cwilf.patterns import all_patterns, symmetry_class
 from cwilf.permcore import brute_weight_enum
 from cwilf.survey import cross_check, growth_estimate, hit_parade
 from cwilf.weightring import PatternAssignment, WeightPoly
@@ -179,3 +180,34 @@ def test_series_report_json_schema():
     assert data["terms"] == ["1", "1", "2", "5", "17", "70"]
     tracked = tracked_series([(1, 2, 3)], N=3)
     assert tracked.to_json_dict()["terms"][-1] == "t + 5"
+
+
+def _second_moments(terms, nvars):
+    """Per term, the sum of c e_i e_j over its terms c t^e, for i <= j."""
+    return [[sum(c * e[i] * e[j] for e, c in poly.items())
+             for i in range(nvars) for j in range(i, nvars)] for poly in terms]
+
+
+def _closed_forms(track, N):
+    pairs = [(a, b) for i, a in enumerate(track) for b in track[i:]]
+    return [[analysis._second_moment(a, b, n, math.factorial(n)) for a, b in pairs]
+            for n in range(N + 1)]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_second_moment_closed_form_matches_every_tracked_class(k):
+    # the cluster engine, one member per class, to n=30
+    for p in sorted({symmetry_class(q)[0] for q in all_patterns(k)}):
+        terms = cluster_dp.assemble_counts(p, 30)
+        assert _second_moments(terms, 1) == _closed_forms((p,), 30), p
+
+
+def test_second_moment_closed_form_matches_seeded_pairs():
+    # the positive engine on same-length and mixed-length pairs
+    rng = random.Random(22)
+    for ka, kb in [(3, 3), (3, 3), (4, 4), (4, 4), (2, 3), (3, 4), (3, 4), (2, 4)]:
+        a = rng.choice(all_patterns(ka))
+        b = rng.choice([q for q in all_patterns(kb) if q != a])
+        terms = positive_dp.enumerate_for_patterns(track=(a, b), N=14)
+        assert _second_moments(terms, 2) == _closed_forms((a, b), 14), (a, b)
+

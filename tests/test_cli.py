@@ -227,6 +227,42 @@ def test_corrupt_first_moment_exits_4(monkeypatch, engine):
     assert "first moment" in err
 
 
+@pytest.mark.parametrize("engine", ["cluster", "positive"])
+def test_corrupt_second_moment_exits_4(monkeypatch, engine):
+    # in P_20 of 132, take 1 from t^0 and t^2 and add 2 to t^1: P_20(1) and
+    # the first moment hold, the second moment drops by 2
+    module, name = ((cluster_dp, "assemble_counts") if engine == "cluster"
+                    else (positive_dp, "enumerate_for_patterns"))
+    honest = getattr(module, name)
+
+    def corrupted(*args, **kwargs):
+        terms = honest(*args, **kwargs)
+        terms[20] = terms[20] + WeightPoly(1, {(0,): -1, (1,): 2, (2,): -1})
+        return terms
+
+    monkeypatch.setattr(module, name, corrupted)
+    code, out, err = run_cli(["count", "--track", "132", "--n", "30", "--engine", engine])
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: second moment of 132 in P_20: ")
+
+
+def test_corrupt_two_atom_count_exits_4(monkeypatch):
+    # 123's two-atom clusters are at most 5 long, so [u^2]C_15 = 0; adding
+    # u^3 + u^2 keeps C_15 at t = 0 (u = -1), and n = 15 lies past the
+    # member check's probe depth anyway
+    honest = cluster_dp.cluster_polys_shifted
+
+    def corrupted(p, N):
+        shifted = honest(p, N)
+        shifted[15] = shifted[15] + WeightPoly(1, {(2,): 1, (3,): 1})
+        return shifted
+
+    monkeypatch.setattr(cluster_dp, "cluster_polys_shifted", corrupted)
+    code, out, err = run_cli(["clusters", "123", "--n", "20"])
+    assert (code, out, err) == (cli.EXIT_INCONSISTENT, "", "error: [u^2]C_15 = 1, expected 0\n")
+
+
 def test_short_packing_stride_exits_4(monkeypatch):
     # one digit short, 123's top exponent spills into 321's and 321's into
     # 132's; the digit sum holds and 132 stays in range, so only the first
