@@ -4,9 +4,12 @@ One router, `_series`, serves `count`, `growth`, `hitparade` and every
 `crosscheck` column of a non-empty family: it alone picks the engine, the
 member list and the label, guards the brute-force depth and runs the
 runtime checks.  On the cluster engine the class, its label and the member
-that runs come from `_cluster_route`, which `clusters` calls too, as it
-does the two-atom check (`_check_two_atoms`).  The engines are exact, and
-so is everything here.
+that runs come from `_cluster_route`, which `clusters` calls too.  The
+checks compare against closed forms: the second moments count pairs of
+windows, and two windows that overlap match in a product of binomials,
+one per gap of their shared values (`_window_pairs`, which `clusters`
+reads for its two-atom check).  The engines are exact, and so is
+everything here.
 
 Each route imports the engine it runs where it runs it, so a process that
 counts with one engine never loads the other.  The weight ring
@@ -25,7 +28,7 @@ import math
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .patterns import InconsistentResult, _refuse_above_cap, format_pattern, symmetry_class
+from .patterns import InconsistentResult, _refuse_above_cap, format_pattern, reduction, symmetry_class
 
 
 class SeriesReport:
@@ -182,46 +185,37 @@ def _check_initial_terms(patterns: Sequence[tuple[int, ...]], terms: Sequence[in
 
 
 def _check_moments(track: Sequence[tuple[int, ...]], terms: Sequence[WeightPoly]) -> None:
-    """The first and second moments of every term, each read off its items
-    (`_check_first_moments`, `_check_second_moments`)."""
-    fact = 1
-    for n, poly in enumerate(terms):
-        fact *= n or 1
-        items = poly.items()
-        _check_first_moments(track, n, fact, items)
-        _check_second_moments(track, n, fact, items)
-
-
-def _check_first_moments(track: Sequence[tuple[int, ...]], n: int, fact: int, items) -> None:
-    """P_n(1) = n! and dP_n/dt_i(1) = (n-m+1) n!/m! for tracked pattern i of length m.
+    """Term by term: P_n(1) = n!, then dP_n/dt_i(1) = (n-m+1) n!/m! for each
+    tracked pattern i of length m, then the sum of c e_i e_j over the terms
+    c t^e of P_n against n! E[X_i X_j] for tracked patterns i <= j, X_i
+    counting occurrences (`_second_moment`).
 
     A uniform permutation of size n has n-m+1 windows of length m, each of
     which reduces to a given pattern with probability 1/m!.
     """
-    mass = sum(c for _exps, c in items)
-    if mass != fact:
-        raise InconsistentResult(f"P_{n}(1) = {mass}, expected {fact}")
-    for i, p in enumerate(track):
-        m = len(p)
-        got = sum(c * exps[i] for exps, c in items)
-        expected = (n - m + 1) * (fact // math.factorial(m)) if n >= m else 0
-        if got != expected:
-            raise InconsistentResult(
-                f"first moment of {format_pattern(p)} in P_{n}: {got}, "
-                f"expected {expected}")
-
-
-def _check_second_moments(track: Sequence[tuple[int, ...]], n: int, fact: int, items) -> None:
-    """The sum of c e_i e_j over the terms c t^e of P_n is n! E[X_i X_j] for
-    tracked patterns i <= j, X_i counting occurrences (`_second_moment`)."""
-    for i, a in enumerate(track):
-        for j, b in enumerate(track[i:], start=i):
-            got = sum(c * exps[i] * exps[j] for exps, c in items)
-            expected = _second_moment(a, b, n, fact)
+    fact = 1
+    for n, poly in enumerate(terms):
+        fact *= n or 1
+        items = poly.items()
+        mass = sum(c for _exps, c in items)
+        if mass != fact:
+            raise InconsistentResult(f"P_{n}(1) = {mass}, expected {fact}")
+        for i, p in enumerate(track):
+            m = len(p)
+            got = sum(c * exps[i] for exps, c in items)
+            expected = (n - m + 1) * (fact // math.factorial(m)) if n >= m else 0
             if got != expected:
-                names = " and ".join(dict.fromkeys(map(format_pattern, (a, b))))
                 raise InconsistentResult(
-                    f"second moment of {names} in P_{n}: {got}, expected {expected}")
+                    f"first moment of {format_pattern(p)} in P_{n}: {got}, "
+                    f"expected {expected}")
+        for i, a in enumerate(track):
+            for j, b in enumerate(track[i:], start=i):
+                got = sum(c * exps[i] * exps[j] for exps, c in items)
+                expected = _second_moment(a, b, n, fact)
+                if got != expected:
+                    names = " and ".join(dict.fromkeys(map(format_pattern, (a, b))))
+                    raise InconsistentResult(
+                        f"second moment of {names} in P_{n}: {got}, expected {expected}")
 
 
 def _second_moment(a: tuple[int, ...], b: tuple[int, ...], n: int, fact: int) -> int:
@@ -236,25 +230,8 @@ def _second_moment(a: tuple[int, ...], b: tuple[int, ...], n: int, fact: int) ->
     ka, kb = len(a), len(b)
     total = sum((n - L + 1) * e * (fact // math.factorial(L))
                 for L, e in _window_pairs(a, b) if e and n >= L)
-    if n >= ka + kb:
-        total += (2 * math.comb(n - ka - kb + 2, 2)
-                  * (fact // (math.factorial(ka) * math.factorial(kb))))
-    return total
-
-
-def _check_two_atoms(p: tuple[int, ...], shifted: Sequence[WeightPoly]) -> None:
-    """[u]C_n = [n = k] and [u^2]C_n = e(n-k) for the cluster enumerators
-    C_n(u) of a pattern of length k, e(d) counting the two-atom clusters
-    whose second atom starts d after the first (`_window_pairs`; 0 unless
-    0 < d < k)."""
-    k = len(p)
-    two_atoms = _window_pairs(p, p)  # offset d at index d+k-1
-    for n, c in enumerate(shifted):
-        d = n - k
-        for i, expected in ((1, int(d == 0)), (2, two_atoms[d + k - 1][1] if 0 < d < k else 0)):
-            got = c.coefficient((i,))
-            if got != expected:
-                raise InconsistentResult(f"[u^{i}]C_{n} = {got}, expected {expected}")
+    return total + (2 * math.comb(max(n - ka - kb + 2, 0), 2)
+                    * (fact // (math.factorial(ka) * math.factorial(kb))))
 
 
 @lru_cache(maxsize=None)
@@ -263,28 +240,20 @@ def _window_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, in
     that meets it: L entries spanned, and e orders of the span in which
     both windows reduce to their patterns.
 
-    e counts the linear extensions of the two windows' orders by a DP over
-    the sets of positions that hold the smallest values, at most 2^L of
-    them for L <= k_a+k_b-1; neither engine is involved.
+    e is 0 unless the shared entries reduce alike in a and in b.  Then they
+    cut each window's values into the same gaps, and in gap i the x_i
+    values only a holds and the y_i only b holds are two chains that
+    interleave freely: e = prod C(x_i + y_i, x_i).  Neither engine is
+    involved.
     """
     ka, kb = len(a), len(b)
     out = []
     for d in range(1 - kb, ka):
-        lo = min(0, d)
-        L = max(ka, d + kb) - lo
-        below = [0] * L  # below[x]: the positions whose values must be smaller than x's
-        for p, start in ((a, -lo), (b, d - lo)):
-            for i, v in enumerate(p):
-                for j, w in enumerate(p):
-                    if w < v:
-                        below[start + i] |= 1 << (start + j)
-        ways = {0: 1}
-        for _ in range(L):
-            nxt: dict = {}
-            for done, w in ways.items():
-                for x in range(L):
-                    if not done >> x & 1 and below[x] & done == below[x]:
-                        nxt[done | 1 << x] = nxt.get(done | 1 << x, 0) + w
-            ways = nxt
-        out.append((L, ways.get((1 << L) - 1, 0)))
+        shared_a, shared_b = a[max(d, 0):min(ka, d + kb)], b[max(-d, 0):min(kb, ka - d)]
+        e = 0
+        if reduction(shared_a) == reduction(shared_b):
+            ga, gb = (0, *sorted(shared_a), ka + 1), (0, *sorted(shared_b), kb + 1)
+            e = math.prod(math.comb(a1 - a0 + b1 - b0 - 2, a1 - a0 - 1)
+                          for a0, a1, b0, b1 in zip(ga, ga[1:], gb, gb[1:]))
+        out.append((max(ka, d + kb) - min(0, d), e))
     return tuple(out)

@@ -4,20 +4,11 @@ Every pipeline is exposed as a subcommand with reproducible output: text is
 newline-terminated UTF-8, JSON keeps a stable field order, and identical
 configurations always produce identical bytes.
 
-Exit codes: 0 success, 2 usage or parse error (a negative --n on any
-command), 3 brute-force cap exceeded, refused up front on a non-empty
-family, 4 inconsistent result: a cross-check discrepancy under --strict, or
-on any command, `crosscheck` included, a packed polynomial that fails its
-P_n(1) = n! check, an avoidance series whose first terms are not n! (n < k)
-and k! - |set| (n = k), or a tracked series with nothing forbidden whose
-P_n(1) is not n! or whose first moment in a tracked pattern of length m is
-not (n-m+1) n!/m! or whose second moment in a tracked pattern or pair of
-them is not the window-pair count (`analysis._second_moment`), a `clusters`
-enumerator C_n(1+u) whose [u] is not [n = k] or whose [u^2] is not the
-number of two-atom clusters of length n, or two members of a pattern's
-symmetry class that disagree on its counts at t = 0, avoided, tracked or
-on `clusters`, 130 interrupted (Ctrl-C), 141 stdout closed by its reader
-(128 + SIGPIPE). `count` makes one call into the router
+Exit codes: 0 success, 2 usage or parse error, 3 brute-force cap exceeded,
+refused up front, 4 inconsistent result (a cross-check discrepancy under
+--strict, or a runtime check that fails on any command; the README's "Exit
+codes" paragraph lists every check), 130 interrupted (Ctrl-C), 141 stdout
+closed by its reader (128 + SIGPIPE). `count` makes one call into the router
 (`analysis._series`), `crosscheck` one per engine it compares, and terms
 of any length print: `main` lifts Python's int-to-text digit limit.
 
@@ -95,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     growth = sub.add_parser("growth", help="asymptotic growth estimate for one pattern")
     growth.add_argument("pattern")
     growth.add_argument("--n", type=int, required=True)
-    _add_common(growth, cap=True)
+    _add_common(growth)
 
     return parser
 

@@ -9,7 +9,10 @@ else.  Every series still comes from the router (`analysis._series`), and
 `clusters` takes its class, label and run member from the router's
 `analysis._cluster_route`: its C_n(t) comes from the cheapest member,
 whose counts at t = 0 must equal every member's probe counts and whose
-terms in u = t - 1 must pass the two-atom check.
+terms in u = t - 1 must pass the two-atom check (`_check_two_atoms`),
+which reads the number of two-atom clusters off the router's window
+pairs: the product over the gaps of the shared values of binomials that
+interleave the two atoms' own entries (`analysis._window_pairs`).
 """
 
 from __future__ import annotations
@@ -17,15 +20,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .analysis import (
-    SeriesReport,
-    _check_two_atoms,
-    _cluster_route,
-    _series,
-    avoidance_series,
-)
+from .analysis import SeriesReport, _cluster_route, _series, _window_pairs, avoidance_series
 from .cli import EXIT_INCONSISTENT, EXIT_OK, _emit, _emit_json, _resolve_cap
 from .patterns import (
+    InconsistentResult,
     _refuse_above_cap,
     all_patterns,
     format_pattern,
@@ -162,6 +160,21 @@ def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:
 
 # -- the command handlers ----------------------------------------------------
 
+def _check_two_atoms(p: tuple[int, ...], shifted: Sequence[WeightPoly]) -> None:
+    """[u]C_n = [n = k] and [u^2]C_n = e(n-k) for the cluster enumerators
+    C_n(u) of a pattern of length k, e(d) counting the two-atom clusters
+    whose second atom starts d after the first (`_window_pairs`; 0 unless
+    0 < d < k)."""
+    k = len(p)
+    two_atoms = _window_pairs(p, p)  # offset d at index d+k-1
+    for n, c in enumerate(shifted):
+        d = n - k
+        for i, expected in ((1, int(d == 0)), (2, two_atoms[d + k - 1][1] if 0 < d < k else 0)):
+            got = c.coefficient((i,))
+            if got != expected:
+                raise InconsistentResult(f"[u^{i}]C_{n} = {got}, expected {expected}")
+
+
 def _cmd_clusters(args) -> int:
     p = parse_pattern(args.pattern)
     from . import cluster_dp
@@ -237,7 +250,7 @@ def _cmd_hitparade(args) -> int:
 
 def _cmd_growth(args) -> int:
     p = parse_pattern(args.pattern)
-    report = avoidance_series((p,), args.n, engine="auto", cap=_resolve_cap(args))
+    report = avoidance_series((p,), args.n)
     est = growth_estimate(report.terms)
     if args.format == "json":
         out = report.to_json_dict()

@@ -12,6 +12,8 @@ only to validate the engines, so it stays independent of them:
   chop (`split_ending_cluster`) behind `cluster_dp`'s tables and recurrence;
 - the identity F = 1/(1 - z - G) on computed series, and the cluster
   recurrence of the monotone patterns (`monotone_cluster_series`);
+- the window-pair counts behind the second moments and the two-atom check
+  (`window_pairs`), as linear extensions by a subset DP;
 - `pack`, a polynomial's value at a packing layout's point.
 
 The brute-force enumerators that a command runs (`brute_weight_enum`,
@@ -348,6 +350,40 @@ def egf_identity_check(P: Sequence, C: Sequence, N: int) -> EgfReport:
             acc[0] = acc.get(0, Fraction(0)) - 1
         residuals.append({e: c for e, c in acc.items() if c})
     return EgfReport(N, residuals)
+
+
+# -- window pairs -----------------------------------------------------------------
+
+def window_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(L, e) per offset d = -(k_b-1)..k_a-1 of a b-window from an a-window
+    that meets it: L entries spanned, and e orders of the span in which
+    both windows reduce to their patterns (`cwilf.analysis._window_pairs`).
+
+    e counts the linear extensions of the two windows' orders by a DP over
+    the sets of positions that hold the smallest values, at most 2^L of
+    them for L <= k_a+k_b-1; neither engine is involved.
+    """
+    ka, kb = len(a), len(b)
+    out = []
+    for d in range(1 - kb, ka):
+        lo = min(0, d)
+        L = max(ka, d + kb) - lo
+        below = [0] * L  # below[x]: the positions whose values must be smaller than x's
+        for p, start in ((a, -lo), (b, d - lo)):
+            for i, v in enumerate(p):
+                for j, w in enumerate(p):
+                    if w < v:
+                        below[start + i] |= 1 << (start + j)
+        ways = {0: 1}
+        for _ in range(L):
+            nxt: dict = {}
+            for done, w in ways.items():
+                for x in range(L):
+                    if not done >> x & 1 and below[x] & done == below[x]:
+                        nxt[done | 1 << x] = nxt.get(done | 1 << x, 0) + w
+            ways = nxt
+        out.append((L, ways.get((1 << L) - 1, 0)))
+    return tuple(out)
 
 
 # -- weight ring ------------------------------------------------------------------

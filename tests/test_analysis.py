@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,11 +6,12 @@ import pytest
 
 from cwilf import analysis, cluster_dp, positive_dp
 from cwilf.analysis import avoidance_series, tracked_series
-from cwilf.patterns import all_patterns, symmetry_class
+from cwilf.patterns import all_patterns, reduction, symmetry_class
 from cwilf.permcore import brute_weight_enum
 from cwilf.survey import cross_check, growth_estimate, hit_parade
 from cwilf.weightring import PatternAssignment, WeightPoly
 from helpers import factorials
+from reference import window_pairs
 
 
 def test_growth_estimate_on_factorials():
@@ -211,3 +213,31 @@ def test_second_moment_closed_form_matches_seeded_pairs():
         terms = positive_dp.enumerate_for_patterns(track=(a, b), N=14)
         assert _second_moments(terms, 2) == _closed_forms((a, b), 14), (a, b)
 
+
+
+def test_window_pairs_match_the_subset_dp():
+    # the product of binomials against the linear extensions counted one
+    # set of smallest positions at a time: every ordered pair of lengths
+    # 2-4, and seeded pairs of lengths 5-6
+    pairs = [(a, b) for ka in (2, 3, 4) for kb in (2, 3, 4)
+             for a in all_patterns(ka) for b in all_patterns(kb)]
+    rng = random.Random(24)
+    pairs += [tuple(rng.choice(all_patterns(rng.choice((5, 6)))) for _ in "ab")
+              for _ in range(40)]
+    for a, b in pairs:
+        assert analysis._window_pairs(a, b) == window_pairs(a, b), (a, b)
+
+
+def test_window_pairs_match_every_order_of_the_span():
+    # length-3 pairs against all L! orders of each span, which needs
+    # neither the closed form nor the DP
+    for a in all_patterns(3):
+        for b in all_patterns(3):
+            expected = []
+            for d in range(-2, 3):
+                lo = min(0, d)
+                L = max(3, d + 3) - lo
+                expected.append((L, sum(reduction(order[-lo:3 - lo]) == a
+                                        and reduction(order[d - lo:d - lo + 3]) == b
+                                        for order in itertools.permutations(range(L)))))
+            assert analysis._window_pairs(a, b) == tuple(expected), (a, b)

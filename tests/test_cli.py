@@ -391,6 +391,7 @@ def test_closed_stdout_exits_141_without_traceback():
 @pytest.mark.parametrize("argv", [
     ["hitparade", "3", "--n", "5", "--cap", "-1"],
     ["clusters", "123", "--n", "3", "--cap", "5"],
+    ["growth", "123", "--n", "12", "--cap", "3"],
 ])
 def test_cap_is_refused_where_nothing_reads_it(argv):
     err = io.StringIO()
@@ -403,7 +404,6 @@ def test_cap_is_refused_where_nothing_reads_it(argv):
 @pytest.mark.parametrize("argv", [
     ["count", "--avoid", "123", "--n", "3", "--cap", "3"],
     ["crosscheck", "123", "--n", "3", "--cap", "3"],
-    ["growth", "123", "--n", "12", "--cap", "3"],
 ])
 def test_cap_is_accepted_where_it_is_read(argv):
     assert run_cli(argv)[0] == 0

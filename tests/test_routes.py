@@ -107,6 +107,21 @@ def test_permcore_holds_only_oracles():
     assert not unread, unread
 
 
+def test_survey_only_code_lives_in_survey():
+    # every process compiles `analysis`, and `count` never loads `survey`:
+    # a private function of the router that only `survey` reads belongs there
+    trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "cwilf").glob("*.py")}
+    private = [node.name for node in trees["analysis"].body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    assert private
+    for name in private:
+        readers = {stem for stem, tree in trees.items()
+                   for top in tree.body if getattr(top, "name", None) != name
+                   for node in ast.walk(top)
+                   if getattr(node, "id", None) == name or getattr(node, "attr", None) == name}
+        assert readers != {"survey"}, name
+
+
 def _functions_where(match):
     """`module.function` for each function of src/cwilf whose own body (not
     a nested function's) holds a node that `match` accepts."""
