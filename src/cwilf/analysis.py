@@ -5,11 +5,10 @@ One router, `_series`, serves `count`, `growth`, `hitparade` and every
 member list and the label, guards the brute-force depth and runs the
 runtime checks.  On the cluster engine the class, its label and the member
 that runs come from `_cluster_route`, which `clusters` calls too.  The
-checks compare against closed forms: the second moments count pairs of
-windows, and two windows that overlap match in a product of binomials,
-one per gap of their shared values (`_window_pairs`, which `clusters`
-reads for its two-atom check).  The engines are exact, and so is
-everything here.
+checks compare against closed forms.  The moment checks of tracked series
+(`weightring._check_moments`) live on the polynomial side, which every
+tracked route loads anyway, so the cluster engine's avoidance route never
+compiles them.  The engines are exact, and so is everything here.
 
 Each route imports the engine it runs where it runs it, so a process that
 counts with one engine never loads the other.  The weight ring
@@ -24,11 +23,9 @@ that use them (`survey`).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
-from functools import lru_cache
 
-from .patterns import InconsistentResult, _refuse_above_cap, format_pattern, reduction, symmetry_class
+from .patterns import InconsistentResult, _refuse_above_cap, format_pattern, symmetry_class
 
 
 class SeriesReport:
@@ -141,6 +138,8 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
         terms = [w if isinstance(w, int) else w.constant_value() for w in terms]
         _check_initial_terms(avoid, terms)
     elif not avoid:
+        from .weightring import _check_moments
+
         _check_moments(track, terms)
     return SeriesReport(text, rep, tuple(map(format_pattern, members)), engine, terms)
 
@@ -182,78 +181,3 @@ def _check_initial_terms(patterns: Sequence[tuple[int, ...]], terms: Sequence[in
         expected = fact - (n == k) * len({p for p in patterns if len(p) == k})
         if a != expected:
             raise InconsistentResult(f"avoidance count a_{n} = {a}, expected {expected}")
-
-
-def _check_moments(track: Sequence[tuple[int, ...]], terms: Sequence[WeightPoly]) -> None:
-    """Term by term: P_n(1) = n!, then dP_n/dt_i(1) = (n-m+1) n!/m! for each
-    tracked pattern i of length m, then the sum of c e_i e_j over the terms
-    c t^e of P_n against n! E[X_i X_j] for tracked patterns i <= j, X_i
-    counting occurrences (`_second_moment`).
-
-    A uniform permutation of size n has n-m+1 windows of length m, each of
-    which reduces to a given pattern with probability 1/m!.
-    """
-    fact = 1
-    for n, poly in enumerate(terms):
-        fact *= n or 1
-        items = poly.items()
-        mass = sum(c for _exps, c in items)
-        if mass != fact:
-            raise InconsistentResult(f"P_{n}(1) = {mass}, expected {fact}")
-        for i, p in enumerate(track):
-            m = len(p)
-            got = sum(c * exps[i] for exps, c in items)
-            expected = (n - m + 1) * (fact // math.factorial(m)) if n >= m else 0
-            if got != expected:
-                raise InconsistentResult(
-                    f"first moment of {format_pattern(p)} in P_{n}: {got}, "
-                    f"expected {expected}")
-        for i, a in enumerate(track):
-            for j, b in enumerate(track[i:], start=i):
-                got = sum(c * exps[i] * exps[j] for exps, c in items)
-                expected = _second_moment(a, b, n, fact)
-                if got != expected:
-                    names = " and ".join(dict.fromkeys(map(format_pattern, (a, b))))
-                    raise InconsistentResult(
-                        f"second moment of {names} in P_{n}: {got}, expected {expected}")
-
-
-def _second_moment(a: tuple[int, ...], b: tuple[int, ...], n: int, fact: int) -> int:
-    """n! E[X_a X_b] over S_n, from the pairs of an a-window and a b-window.
-
-    Disjoint windows take C(n-k_a-k_b+2, 2) placements in each order, each
-    pair reducing to a and b in n!/(k_a! k_b!) permutations.  Windows that
-    meet span L entries and take n-L+1 placements, each in e n!/L!
-    permutations, e counting the orders of the span that reduce to a and to
-    b at their windows (`_window_pairs`).
-    """
-    ka, kb = len(a), len(b)
-    total = sum((n - L + 1) * e * (fact // math.factorial(L))
-                for L, e in _window_pairs(a, b) if e and n >= L)
-    return total + (2 * math.comb(max(n - ka - kb + 2, 0), 2)
-                    * (fact // (math.factorial(ka) * math.factorial(kb))))
-
-
-@lru_cache(maxsize=None)
-def _window_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(L, e) per offset d = -(k_b-1)..k_a-1 of a b-window from an a-window
-    that meets it: L entries spanned, and e orders of the span in which
-    both windows reduce to their patterns.
-
-    e is 0 unless the shared entries reduce alike in a and in b.  Then they
-    cut each window's values into the same gaps, and in gap i the x_i
-    values only a holds and the y_i only b holds are two chains that
-    interleave freely: e = prod C(x_i + y_i, x_i).  Neither engine is
-    involved.
-    """
-    ka, kb = len(a), len(b)
-    out = []
-    for d in range(1 - kb, ka):
-        shared_a, shared_b = a[max(d, 0):min(ka, d + kb)], b[max(-d, 0):min(kb, ka - d)]
-        e = 0
-        if reduction(shared_a) == reduction(shared_b):
-            ga, gb = (0, *sorted(shared_a), ka + 1), (0, *sorted(shared_b), kb + 1)
-            e = math.prod(math.comb(a1 - a0 + b1 - b0 - 2, a1 - a0 - 1)
-                          for a0, a1, b0, b1 in zip(ga, ga[1:], gb, gb[1:]))
-        out.append((max(ka, d + kb) - min(0, d), e))
-    return tuple(out)

@@ -12,6 +12,13 @@ closed by its reader (128 + SIGPIPE). `count` makes one call into the router
 (`analysis._series`), `crosscheck` one per engine it compares, and terms
 of any length print: `main` lifts Python's int-to-text digit limit.
 
+A process that runs `main()` on its own command line (the `cwilf` script,
+`python -m cwilf`) freezes the garbage collector's view of its start-up
+heap (`gc.freeze`) before the command runs: the collections during the run
+and the one at exit skip the objects that start-up left, which live until
+exit anyway.  A caller that passes argv, as the tests do, keeps its
+collector as it was.
+
 Only `count` is handled here (`_HANDLERS`).  `main` sends the other four
 commands to `survey`, imported when one of them runs, so a `count` process
 compiles the parser, the router, the pattern primitives and its engine,
@@ -21,6 +28,7 @@ and no other command's code.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -149,6 +157,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)  # print terms of any length
     parser = build_parser()
     args = parser.parse_args(argv)
+    if argv is None:
+        # the process's own command line: what start-up built (interpreter,
+        # site, imports, parser) lives until exit, so neither the run's
+        # collections nor the one at exit need to traverse it
+        gc.freeze()
     try:
         if args.n is not None and args.n < 0:  # every command has --n
             raise ValueError("--n must be nonnegative")

@@ -23,6 +23,14 @@ over the previous value v, they make a fresh v' an (r'-r)-fold running sum,
 in the umbral view a product with 1/(1-x)^(r'-r).  For patterns whose only
 overlap is 1 the key is one value, at most n states.
 
+An extension is thus a linear operator on columns indexed by a value, and
+`_spread` applies it so: past the first new key value, the partial
+placements are lists indexed by that value, one per group of the other
+values, so a running sum adds whole columns, a shared value multiplies a
+column by a binomial column, and the interpreter works once per group
+rather than once per placement.  To n=100, the last steps of 2413's
+spreads write 308,219 placements in 9,012 columns.
+
 The tables and the recurrence run on plain integers at one value of t.
 Deep avoidance series use t = 0.  Polynomials come from a value that packs
 them (see `weightring.Packing`): P_n(t) has nonnegative coefficients of at
@@ -50,8 +58,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import add
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter, mul, or_, sub
 
 from .patterns import _check_pattern, reduction, symmetry_class
 
@@ -144,52 +152,182 @@ def _spread(src: dict, plan, n: int, work: list | None = None) -> dict:
     product of C(v' - v - 1, r' - r - 1) over consecutive specified (rank,
     value) points, from the sentinel (0, 0) up.  The walk keeps partial
     placements (key values so far, last value, shared values ahead); the
-    first ones merge src onto the shared values.  At a fresh key value v,
-    summing E(w) C(v - w - 1, gap) over the last value w < v is a
-    (gap+1)-fold running sum: gap+1 `accumulate` passes, the positive
-    engine's idiom, over one {last value: weight} column per (key values,
-    shared values ahead) group.  With `work`, work[0] grows by the partial
-    placements of each step plus gap+1 per value a running sum passes,
-    which is what `rank_orientations` compares.
+    first ones merge src onto the shared values.  Until the first key value
+    is placed, they are held as one {last value: weight} column per shared
+    values ahead.  From then on they are held as value-indexed columns
+    (lo, weights, present) over the first key value x = lo, lo+1, ...: one
+    per (other key values, last value, shared values ahead), or per (other
+    key values, shared values ahead) while the last value is x itself.
+    `present` marks the placements the walk reaches, zero weight or not,
+    apart from the zeros that only pad a column to a common range.
+
+    At a fresh key value v, summing E(w) C(v - w - 1, gap) over the last
+    value w < v is a (gap+1)-fold running sum: gap+1 `accumulate` passes
+    over a {last value: weight} column, or gap+1 running sums of whole
+    columns over the groups that differ only in w.  Where w is x itself
+    the sum has one term, and v takes the column below v - gap times the
+    binomial column C(v - x - 1, gap).  A shared value multiplies a column
+    by that binomial column, or by one binomial when w is not x.  With
+    `work`, work[0] grows by the partial placements of each step plus
+    gap+1 per value a running sum passes, each placement counted on its
+    own, whatever column holds it; that is what `rank_orientations`
+    compares.
     """
     shared, steps, order, mirrored = plan
     origin, sign = (n + 1, -1) if mirrored else (0, 1)
-    layer: dict = {}
-    for key, w in src.items():
-        state = ((), 0, tuple([origin + sign * (key[i] + b) for i, b in shared] + [n + 1]))
-        prev = layer.get(state)
-        layer[state] = w if prev is None else prev + w
+    aheads = zip(*[map(sub, repeat(n + 1 - b), map(itemgetter(i), src)) if mirrored
+                   else map(add, map(itemgetter(i), src), repeat(b)) for i, b in shared],
+                 repeat(n + 1))
+    if len(shared) == len(order):  # every key value is shared: nothing merges
+        merged = dict(zip(aheads, src.values()))
+    else:
+        merged = {}
+        for ahead, w in zip(aheads, src.values()):
+            prev = merged.get(ahead)
+            merged[ahead] = w if prev is None else prev + w
+    loose, flat = merged, True  # {ahead: weight} while every last value is 0
+    steps = iter(steps)
     for gap, is_shared, in_key, dist in steps:
-        nxt: dict = {}
-        passes = 0
+        size, passes = len(loose) if flat else sum(map(len, loose.values())), 0
         if is_shared:
-            # always room below a shared value: fresh values stay dist short
-            # of it, and bumps count the fresh ranks between shared ones
-            for (vals, last, ahead), w in layer.items():
-                v = ahead[0]
-                state = (vals + (v,) if in_key else vals, v, ahead[1:])
-                placed = w * math.comb(v - last - 1, gap) if gap else w
-                prev = nxt.get(state)
-                nxt[state] = placed if prev is None else prev + placed
+            placed: dict = {}
+            if flat:
+                for ahead, w in loose.items():
+                    v = ahead[0]
+                    placed.setdefault(ahead[1:], {})[v] = w * math.comb(v - 1, gap) if gap else w
+            else:
+                for ahead, column in loose.items():
+                    v = ahead[0]
+                    placed.setdefault(ahead[1:], {})[v] = (
+                        sum(w * math.comb(v - last - 1, gap) for last, w in column.items())
+                        if gap else sum(column.values()))
+            if in_key:
+                columns = {((), ahead): _dense(column) for ahead, column in placed.items()}
         else:
-            groups: dict = {}
-            for (vals, last, ahead), w in layer.items():
-                groups.setdefault((vals, ahead), {})[last] = w
-            for (vals, ahead), column in groups.items():
+            columns = {}
+            for ahead, column in loose.items():
+                if flat:
+                    column = {0: column}
                 start, stop = min(column), ahead[0] - dist + 1
                 if stop > start:
                     passes += stop - start
                 sums = map(column.get, range(start, stop - gap - 1), repeat(0))
                 for _ in range(gap + 1):
                     sums = accumulate(sums)
-                for v, w in zip(range(start + gap + 1, stop), sums):
-                    nxt[(vals + (v,), v, ahead)] = w
+                sums = list(sums)
+                if sums:
+                    columns[((), ahead)] = (start + gap + 1, sums, [True] * len(sums))
         if work is not None:
-            work[0] += len(layer) + passes * (gap + 1)
-        layer = nxt
-    if not mirrored and order == tuple(range(len(order))):
-        return {vals: w for (vals, _, _), w in layer.items()}
-    return {tuple([origin + sign * vals[i] for i in order]): w for (vals, _, _), w in layer.items()}
+            work[0] += size + passes * (gap + 1)
+        if in_key:
+            break
+        loose, flat = placed, False
+    tied = True  # the last value is x itself
+    for gap, is_shared, in_key, dist in steps:
+        nxt: dict = {}
+        passes = 0
+        down = _binomials(n, gap)
+        if is_shared:
+            for group, (lo, ws, present) in columns.items():
+                head, last, ahead = (group[0], None, group[1]) if tied else group
+                v = ahead[0]
+                if gap:
+                    ws = list(map(mul, ws, down[n - v + lo + 1:] if tied
+                                  else repeat(down[n - v + last + 1])))
+                state = (head + (v,) if in_key else head, v, ahead[1:])
+                prev = nxt.get(state)
+                nxt[state] = (lo, ws, present) if prev is None else _add(prev, (lo, ws, present))
+        elif tied:
+            for (head, ahead), (lo, ws, present) in columns.items():
+                stop = ahead[0] - dist + 1
+                if work is not None:
+                    passes += sum(compress(range(stop - lo, 0, -1), present))  # stop - x
+                for v in range(lo + gap + 1, stop):
+                    cut = v - gap - lo
+                    part = list(map(mul, ws[:cut], down[n - v + lo + 1:])) if gap else ws[:cut]
+                    nxt[(head + (v,), v, ahead)] = (lo, part, present[:cut])
+        else:
+            groups: dict = {}
+            for (head, last, ahead), column in columns.items():
+                groups.setdefault((head, ahead), []).append((last, column))
+            for (head, ahead), members in groups.items():
+                stop = ahead[0] - dist + 1
+                if len(members) == 1:  # one last value w: its column times C(v - w - 1, gap)
+                    (last, column), = members
+                    lo, ws, present = column
+                    if work is not None and stop > last:
+                        passes += (stop - last) * sum(present)
+                    for v in range(last + gap + 1, stop):
+                        nxt[(head + (v,), v, ahead)] = (lo, list(map(
+                            mul, ws, repeat(down[n - v + last + 1]))), present) if gap else column
+                    continue
+                members.sort(key=itemgetter(0))
+                lo = min(column[0] for _, column in members)
+                hi = max(column[0] + len(column[1]) for _, column in members)
+                if work is not None:  # a value x passes from its least last value on
+                    seen, before = [False] * (hi - lo), 0
+                    for last, column in members:
+                        if last >= stop:
+                            break
+                        seen = list(map(or_, seen, _padded(column, lo, hi)[1]))
+                        now = sum(seen)
+                        passes += (now - before) * (stop - last)
+                        before = now
+                sums = [[0] * (hi - lo)] * (gap + 1)
+                seen = [False] * (hi - lo)
+                pending = iter(members)
+                last, column = next(pending)
+                low, high = hi, lo  # the values some summed column holds
+                for w in range(last, stop - gap - 1):
+                    if w == last:
+                        ws, present = _padded(column, lo, hi)
+                        sums[0] = list(map(add, sums[0], ws))
+                        seen = list(map(or_, seen, present))
+                        low, high = min(low, column[0]), max(high, column[0] + len(column[1]))
+                        last, column = next(pending, (None, None))
+                        summed = None
+                    for i in range(1, gap + 1):
+                        sums[i] = list(map(add, sums[i], sums[i - 1]))
+                    if summed is None or gap:
+                        summed = (low, sums[gap][low - lo:high - lo], seen[low - lo:high - lo])
+                    v = w + gap + 1
+                    nxt[(head + (v,), v, ahead)] = summed
+        if work is not None:
+            work[0] += sum(sum(present) for _, _, present in columns.values()) + passes * (gap + 1)
+        columns, tied = nxt, False
+    out: dict = {}
+    for (head, _, _), (lo, ws, present) in columns.items():
+        first = range(origin + sign * lo, origin + sign * (lo + len(ws)), sign)
+        keys = zip(*[first if i == 0 else repeat(origin + sign * head[i - 1]) for i in order])
+        out.update(zip(compress(keys, present), compress(ws, present)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int, gap: int) -> tuple[int, ...]:
+    """C(n - i, gap) at i = 0..n: a binomial column read from its top, so
+    that C(v - x - 1, gap) over x = lo, lo+1, ... starts at n - v + lo + 1."""
+    return tuple(math.comb(d, gap) for d in range(n, -1, -1))
+
+
+def _dense(column: dict) -> tuple:
+    """A {value: weight} column as (lo, weights, present) over min..max."""
+    lo, hi = min(column), max(column) + 1
+    return lo, [column.get(x, 0) for x in range(lo, hi)], [x in column for x in range(lo, hi)]
+
+
+def _padded(column: tuple, lo: int, hi: int) -> tuple[list, list]:
+    """A column's weights and presence marks over lo..hi-1, zeros outside."""
+    clo, ws, present = column
+    before, after = [0] * (clo - lo), [0] * (hi - clo - len(ws))
+    return before + ws + after, before + present + after
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """Two columns of the same placements summed over the union of their values."""
+    lo, hi = min(a[0], b[0]), max(a[0] + len(a[1]), b[0] + len(b[1]))
+    (wa, pa), (wb, pb) = _padded(a, lo, hi), _padded(b, lo, hi)
+    return lo, list(map(add, wa, wb)), list(map(or_, pa, pb))
 
 
 def cluster_tables(p: Sequence[int], N: int, u,
@@ -215,15 +353,19 @@ def cluster_tables(p: Sequence[int], N: int, u,
         if n == k:
             table: dict = {p[k - M:]: u}
         else:
-            merged: dict = {}
+            table = {}
             for m in overlaps:
                 src = recent.get(n - (k - m))
                 if not src:
                     continue
-                for key, w in _spread(src, _key_plan(p, m), n, work).items():
-                    prev = merged.get(key)
-                    merged[key] = w if prev is None else prev + w
-            table = {key: w * u for key, w in merged.items()}
+                spread = _spread(src, _key_plan(p, m), n, work)
+                if not table:
+                    table = spread
+                    continue
+                for key, w in spread.items():
+                    prev = table.get(key)
+                    table[key] = w if prev is None else prev + w
+            table = dict(zip(table, map(mul, table.values(), repeat(u))))
         recent[n] = table
         recent.pop(n - k + 1, None)
         yield n, table

@@ -10,9 +10,9 @@ else.  Every series still comes from the router (`analysis._series`), and
 `analysis._cluster_route`: its C_n(t) comes from the cheapest member,
 whose counts at t = 0 must equal every member's probe counts and whose
 terms in u = t - 1 must pass the two-atom check (`_check_two_atoms`),
-which reads the number of two-atom clusters off the router's window
-pairs: the product over the gaps of the shared values of binomials that
-interleave the two atoms' own entries (`analysis._window_pairs`).
+which reads the number of two-atom clusters off the window pairs of the
+moment checks: the product over the gaps of the shared values of binomials
+that interleave the two atoms' own entries (`weightring._window_pairs`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .analysis import SeriesReport, _cluster_route, _series, _window_pairs, avoidance_series
+from .analysis import SeriesReport, _cluster_route, _series, avoidance_series
 from .cli import EXIT_INCONSISTENT, EXIT_OK, _emit, _emit_json, _resolve_cap
 from .patterns import (
     InconsistentResult,
@@ -165,6 +165,8 @@ def _check_two_atoms(p: tuple[int, ...], shifted: Sequence[WeightPoly]) -> None:
     C_n(u) of a pattern of length k, e(d) counting the two-atom clusters
     whose second atom starts d after the first (`_window_pairs`; 0 unless
     0 < d < k)."""
+    from .weightring import _window_pairs
+
     k = len(p)
     two_atoms = _window_pairs(p, p)  # offset d at index d+k-1
     for n, c in enumerate(shifted):

@@ -10,6 +10,9 @@ only to validate the engines, so it stays independent of them:
   `state_of`) that `positive_dp.step_append_aggregated` must agree with;
 - the explicit cluster extension (`extend_cluster`) and ending-cluster
   chop (`split_ending_cluster`) behind `cluster_dp`'s tables and recurrence;
+- the cluster tables built one partial placement at a time
+  (`cluster_tables_by_entry` on `_spread`), against which the
+  value-indexed columns of `cluster_dp._spread` are checked;
 - the identity F = 1/(1 - z - G) on computed series, and the cluster
   recurrence of the monotone patterns (`monotone_cluster_series`);
 - the window-pair counts behind the second moments and the two-atom check
@@ -27,6 +30,7 @@ import itertools
 import math
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
+from itertools import accumulate, repeat
 
 from cwilf.patterns import (
     _check_pattern,
@@ -292,6 +296,94 @@ def split_ending_cluster(pi: Sequence[int], starts: Sequence[int],
     return remainder, starts[:i], ending
 
 
+# -- cluster tables, one entry per partial placement --------------------------
+
+def _spread(src: dict, plan, n: int, work: list | None = None) -> dict:
+    """Key weights at length n reached from table `src` through one
+    overlap (`_key_plan`), before the new atom's factor u.
+
+    Each placement counts the ways to fit the unspecified ranks: the
+    product of C(v' - v - 1, r' - r - 1) over consecutive specified (rank,
+    value) points, from the sentinel (0, 0) up.  The walk keeps partial
+    placements (key values so far, last value, shared values ahead); the
+    first ones merge src onto the shared values.  At a fresh key value v,
+    summing E(w) C(v - w - 1, gap) over the last value w < v is a
+    (gap+1)-fold running sum: gap+1 `accumulate` passes, the positive
+    engine's idiom, over one {last value: weight} column per (key values,
+    shared values ahead) group.  With `work`, work[0] grows by the partial
+    placements of each step plus gap+1 per value a running sum passes,
+    which is what `rank_orientations` compares.
+    """
+    shared, steps, order, mirrored = plan
+    origin, sign = (n + 1, -1) if mirrored else (0, 1)
+    layer: dict = {}
+    for key, w in src.items():
+        state = ((), 0, tuple([origin + sign * (key[i] + b) for i, b in shared] + [n + 1]))
+        prev = layer.get(state)
+        layer[state] = w if prev is None else prev + w
+    for gap, is_shared, in_key, dist in steps:
+        nxt: dict = {}
+        passes = 0
+        if is_shared:
+            # always room below a shared value: fresh values stay dist short
+            # of it, and bumps count the fresh ranks between shared ones
+            for (vals, last, ahead), w in layer.items():
+                v = ahead[0]
+                state = (vals + (v,) if in_key else vals, v, ahead[1:])
+                placed = w * math.comb(v - last - 1, gap) if gap else w
+                prev = nxt.get(state)
+                nxt[state] = placed if prev is None else prev + placed
+        else:
+            groups: dict = {}
+            for (vals, last, ahead), w in layer.items():
+                groups.setdefault((vals, ahead), {})[last] = w
+            for (vals, ahead), column in groups.items():
+                start, stop = min(column), ahead[0] - dist + 1
+                if stop > start:
+                    passes += stop - start
+                sums = map(column.get, range(start, stop - gap - 1), repeat(0))
+                for _ in range(gap + 1):
+                    sums = accumulate(sums)
+                for v, w in zip(range(start + gap + 1, stop), sums):
+                    nxt[(vals + (v,), v, ahead)] = w
+        if work is not None:
+            work[0] += len(layer) + passes * (gap + 1)
+        layer = nxt
+    if not mirrored and order == tuple(range(len(order))):
+        return {vals: w for (vals, _, _), w in layer.items()}
+    return {tuple([origin + sign * vals[i] for i in order]): w for (vals, _, _), w in layer.items()}
+
+
+def cluster_tables_by_entry(p: Sequence[int], N: int, u,
+                            work: list | None = None) -> Iterator[tuple[int, dict]]:
+    """`cwilf.cluster_dp.cluster_tables` on the entry-by-entry `_spread`
+    above: the same pull over the admissible overlaps, each source table
+    spread one partial placement at a time."""
+    from cwilf.cluster_dp import _key_plan, overlap_set
+
+    p = _check_pattern(p)
+    k = len(p)
+    overlaps = overlap_set(p)
+    M = overlaps[-1]
+    recent: dict[int, dict] = {}
+    for n in range(k, N + 1):
+        if n == k:
+            table: dict = {p[k - M:]: u}
+        else:
+            merged: dict = {}
+            for m in overlaps:
+                src = recent.get(n - (k - m))
+                if not src:
+                    continue
+                for key, w in _spread(src, _key_plan(p, m), n, work).items():
+                    prev = merged.get(key)
+                    merged[key] = w if prev is None else prev + w
+            table = {key: w * u for key, w in merged.items()}
+        recent[n] = table
+        recent.pop(n - k + 1, None)
+        yield n, table
+
+
 # -- identity checks -----------------------------------------------------------
 
 def _t_coeffs(w) -> dict[int, int]:
@@ -357,7 +449,7 @@ def egf_identity_check(P: Sequence, C: Sequence, N: int) -> EgfReport:
 def window_pairs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(L, e) per offset d = -(k_b-1)..k_a-1 of a b-window from an a-window
     that meets it: L entries spanned, and e orders of the span in which
-    both windows reduce to their patterns (`cwilf.analysis._window_pairs`).
+    both windows reduce to their patterns (`cwilf.weightring._window_pairs`).
 
     e counts the linear extensions of the two windows' orders by a DP over
     the sets of positions that hold the smallest values, at most 2^L of

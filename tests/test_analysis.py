@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cwilf import analysis, cluster_dp, positive_dp
+from cwilf import cluster_dp, positive_dp, weightring
 from cwilf.analysis import avoidance_series, tracked_series
 from cwilf.patterns import all_patterns, reduction, symmetry_class
 from cwilf.permcore import brute_weight_enum
@@ -192,7 +192,7 @@ def _second_moments(terms, nvars):
 
 def _closed_forms(track, N):
     pairs = [(a, b) for i, a in enumerate(track) for b in track[i:]]
-    return [[analysis._second_moment(a, b, n, math.factorial(n)) for a, b in pairs]
+    return [[weightring._second_moment(a, b, n, math.factorial(n)) for a, b in pairs]
             for n in range(N + 1)]
 
 
@@ -225,7 +225,7 @@ def test_window_pairs_match_the_subset_dp():
     pairs += [tuple(rng.choice(all_patterns(rng.choice((5, 6)))) for _ in "ab")
               for _ in range(40)]
     for a, b in pairs:
-        assert analysis._window_pairs(a, b) == window_pairs(a, b), (a, b)
+        assert weightring._window_pairs(a, b) == window_pairs(a, b), (a, b)
 
 
 def test_window_pairs_match_every_order_of_the_span():
@@ -240,4 +240,4 @@ def test_window_pairs_match_every_order_of_the_span():
                 expected.append((L, sum(reduction(order[-lo:3 - lo]) == a
                                         and reduction(order[d - lo:d - lo + 3]) == b
                                         for order in itertools.permutations(range(L)))))
-            assert analysis._window_pairs(a, b) == tuple(expected), (a, b)
+            assert weightring._window_pairs(a, b) == tuple(expected), (a, b)

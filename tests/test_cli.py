@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -387,6 +388,38 @@ def test_closed_stdout_exits_141_without_traceback():
         os.close(write_end)
     assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
+
+
+def test_in_process_main_leaves_the_collector_unchanged():
+    frozen = gc.get_freeze_count()
+    for argv in (["count", "--avoid", "132", "--n", "8"], ["clusters", "123", "--n", "5"]):
+        assert run_cli(argv)[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+OWN_COMMAND_LINES = [
+    *(["count", "--avoid", "132", "--n", "7", "--engine", engine, "--format", fmt]
+      for engine in ("cluster", "positive", "brute") for fmt in ("text", "json")),
+    *(["clusters", "1342", "--n", "8", "--format", fmt] for fmt in ("text", "json")),
+]
+
+
+@pytest.mark.parametrize("argv", OWN_COMMAND_LINES)
+def test_own_command_line_freezes_the_start_up_heap(argv):
+    # `main()` on the process's own arguments, as the console script and
+    # `python -m cwilf` call it, freezes what start-up left and prints the
+    # same bytes as a run that passes argv
+    probe = ("import gc, sys\n"
+             "from cwilf.cli import main\n"
+             "code = main()\n"
+             "sys.stderr.write(f'{code} {gc.get_freeze_count()}')")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, timeout=60)
+    code, frozen = done.stderr.decode().split()
+    assert int(code) == 0
+    assert int(frozen) > 0
+    assert done.stdout == run_cli(argv)[1].encode()
 
 @pytest.mark.parametrize("argv", [
     ["hitparade", "3", "--n", "5", "--cap", "-1"],

@@ -20,9 +20,10 @@ from cwilf.cluster_dp import (
 )
 from cwilf.patterns import all_patterns, format_pattern, symmetry_class
 from cwilf.permcore import brute_weight_enum
-from cwilf.weightring import PatternAssignment, WeightPoly
+from cwilf.weightring import PatternAssignment, WeightPoly, packing_layout
 from helpers import choose_orientation, factorials
 from reference import (
+    cluster_tables_by_entry,
     EgfReport,
     brute_cluster_enum,
     egf_identity_check,
@@ -453,6 +454,26 @@ def test_probe_work_is_pinned():
     assert sum(work for ranked in probes for work, _q in ranked) == 239_880
     assert hashlib.sha256(repr(probes).encode()).hexdigest() == (
         "38e4cf9b87fe1579d777d515fc04eb6974e0e0d3ca099fbaea1a3af75b79dbd9")
+
+
+@pytest.mark.parametrize("patterns, N", [
+    *((all_patterns(k), 3 * k) for k in (3, 4, 5, 6)),
+    # 1367245 is the first class whose summed columns leave gaps: values
+    # that no summed column holds, which must not become keys
+    ([(1, 3, 6, 7, 2, 4, 5)], 24),
+], ids=["3", "4", "5", "6", "1367245"])
+def test_value_indexed_tables_match_the_entry_by_entry_spread(patterns, N):
+    # at t = 0 (u = -1) and at the packed u of `cluster_polys_shifted`: the
+    # same keys, zero-weight ones included, the same weights and the same work
+    k = len(patterns[0])
+    atoms = N - k + 1
+    packed = packing_layout(1, math.factorial(N) << atoms, atoms).variable(0)
+    for p in patterns:
+        for u in (-1, packed):
+            work, expected_work = [0], [0]
+            assert list(cluster_tables(p, N, u, work)) == list(
+                cluster_tables_by_entry(p, N, u, expected_work)), (p, u)
+            assert work == expected_work, (p, u)
 
 
 def test_split_ending_cluster_worked_example():

@@ -186,3 +186,21 @@ def test_unknown_name_still_raises_attribute_error(module):
     # plain AttributeError
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         getattr(importlib.import_module(f"cwilf.{module}"), "nonexistent")
+
+
+def _collector_call(node, names=("gc.freeze", "gc.disable")):
+    return isinstance(node, ast.Call) and ast.unparse(node.func) in names
+
+
+def test_imports_leave_the_collector_alone():
+    # no module freezes or disables the collector outside a function body,
+    # so importing cwilf changes nothing; only the command line's own run
+    # freezes its start-up heap
+    for path in sorted((SRC / "cwilf").glob("*.py")):
+        todo = list(ast.parse(path.read_text()).body)
+        while todo:
+            node = todo.pop()
+            assert not _collector_call(node), path.stem
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                todo.extend(ast.iter_child_nodes(node))
+    assert _functions_where(lambda node: _collector_call(node, ("gc.freeze",))) == {"cli.main"}
