@@ -226,7 +226,7 @@ def _spread(src: dict, plan, n: int, work: list | None = None) -> dict:
     for gap, is_shared, in_key, dist in steps:
         nxt: dict = {}
         passes = 0
-        down = _binomials(n, gap)
+        down = [math.comb(d, gap) for d in range(n, -1, -1)] if gap else ()  # C(n - i, gap) at i
         if is_shared:
             for group, (lo, ws, present) in columns.items():
                 head, last, ahead = (group[0], None, group[1]) if tied else group
@@ -301,13 +301,6 @@ def _spread(src: dict, plan, n: int, work: list | None = None) -> dict:
         keys = zip(*[first if i == 0 else repeat(origin + sign * head[i - 1]) for i in order])
         out.update(zip(compress(keys, present), compress(ws, present)))
     return out
-
-
-@lru_cache(maxsize=None)
-def _binomials(n: int, gap: int) -> tuple[int, ...]:
-    """C(n - i, gap) at i = 0..n: a binomial column read from its top, so
-    that C(v - x - 1, gap) over x = lo, lo+1, ... starts at n - v + lo + 1."""
-    return tuple(math.comb(d, gap) for d in range(n, -1, -1))
 
 
 def _dense(column: dict) -> tuple:
