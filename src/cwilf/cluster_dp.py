@@ -273,17 +273,18 @@ def _spread(src: dict, plan, n: int, work: list | None = None) -> dict:
                         now = sum(seen)
                         passes += (now - before) * (stop - last)
                         before = now
-                sums = [[0] * (hi - lo)] * (gap + 1)
+                sums = [[0] * (hi - lo) for _ in range(gap + 1)]
                 seen = [False] * (hi - lo)
                 pending = iter(members)
                 last, column = next(pending)
                 low, high = hi, lo  # the values some summed column holds
                 for w in range(last, stop - gap - 1):
                     if w == last:
-                        ws, present = _padded(column, lo, hi)
-                        sums[0] = list(map(add, sums[0], ws))
-                        seen = list(map(or_, seen, present))
-                        low, high = min(low, column[0]), max(high, column[0] + len(column[1]))
+                        clo, ws, present = column
+                        a, b = clo - lo, clo - lo + len(ws)
+                        sums[0][a:b] = map(add, sums[0][a:b], ws)
+                        seen[a:b] = map(or_, seen[a:b], present)
+                        low, high = min(low, clo), max(high, clo + len(ws))
                         last, column = next(pending, (None, None))
                         summed = None
                     for i in range(1, gap + 1):

@@ -458,8 +458,9 @@ def test_probe_work_is_pinned():
 
 @pytest.mark.parametrize("patterns, N", [
     *((all_patterns(k), 3 * k) for k in (3, 4, 5, 6)),
-    # 1367245 is the first class whose summed columns leave gaps: values
-    # that no summed column holds, which must not become keys
+    # no pattern of length 3-6 leaves gaps in a column by n = 3k, but at
+    # n = 24 1367245's summed columns do: values that no summed column
+    # holds, which must not become keys
     ([(1, 3, 6, 7, 2, 4, 5)], 24),
 ], ids=["3", "4", "5", "6", "1367245"])
 def test_value_indexed_tables_match_the_entry_by_entry_spread(patterns, N):
