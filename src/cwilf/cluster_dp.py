@@ -33,14 +33,14 @@ spreads write 308,219 placements in 9,012 columns.
 
 The tables and the recurrence run on plain integers at one value of t.
 Deep avoidance series use t = 0.  Polynomials come from a value that packs
-them (see `weightring.Packing`): P_n(t) has nonnegative coefficients of at
-most n!, so it is decoded from t = 2^B with B = bitlen(N!)+1; C_n(u) has
-nonnegative coefficients of at most n!*2^(n-k+1) (a permutation with its
-marked subset of at most n-k+1 occurrences), so it is decoded from u = 2^B
-with B = bitlen(N!)+N-k+2.  The table functions still accept `WeightPoly`
-weights, on which the tests compare them with the explicit extension.  Only
-the functions that build polynomials import the weight ring, so an
-avoidance series never loads it.
+them (see `weightring.Packing`) at t = 2^B.  P_n(t) has nonnegative
+coefficients of at most n!, so B = bitlen(N!)+1.  C_n(t) has signed ones,
+read as balanced digits: with A = N-k+1, the a_j <= n!*C(A, j) clusters of
+j atoms (a permutation and j window starts) give |c_i| <= sum_j a_j*C(j, i)
+<= n!*C(A, i)*2^(A-i) <= n!*3^A, so B = bitlen(N!*3^A)+1.  The table
+functions still accept `WeightPoly` weights, on which the tests compare them
+with the explicit extension.  Only the functions that build polynomials
+import the weight ring, so an avoidance series never loads it.
 
 Every member of a pattern's symmetry class has the same cluster numbers,
 but not the same tables: to n=200, 1423's tables hold 323,494 states and
@@ -342,6 +342,8 @@ def cluster_tables(p: Sequence[int], N: int, u,
     k = len(p)
     overlaps = overlap_set(p)
     M = overlaps[-1]
+    # at a packed t = 2^B, a product with u = 2^B - 1 is a shift and a subtraction: linear time
+    shift = u.bit_length() if isinstance(u, int) and u > 0 and not u & (u + 1) else 0
     recent: dict[int, dict] = {}
     for n in range(k, N + 1):
         if n == k:
@@ -359,28 +361,35 @@ def cluster_tables(p: Sequence[int], N: int, u,
                 for key, w in spread.items():
                     prev = table.get(key)
                     table[key] = w if prev is None else prev + w
-            table = dict(zip(table, map(mul, table.values(), repeat(u))))
+            table = dict(zip(table, [(w << shift) - w for w in table.values()] if shift
+                             else map(mul, table.values(), repeat(u))))
         recent[n] = table
         recent.pop(n - k + 1, None)
         yield n, table
 
 
-def cluster_polys_shifted(p: Sequence[int], N: int) -> list[WeightPoly]:
-    """C_0..C_N as polynomials in the shifted variable u = t - 1, decoded
-    from their values at u = 2^B (`cluster_values`)."""
-    from .weightring import packing_layout, unpack
+def cluster_polys(p: Sequence[int], N: int) -> list[WeightPoly]:
+    """C_0(t)..C_N(t) from their values at t = 2^B (`cluster_values`): with
+    half = 2^(B-1) added to each digit C_n can fill, `unpack` reads them, and
+    they must sum to half per digit, as C_n(1) = 0: every cluster has an atom."""
+    from .weightring import PackingOverflow, WeightPoly, packing_layout, unpack
 
     _check_depth(N)
     atoms = max(N - len(p) + 1, 0)
-    layout = packing_layout(1, math.factorial(N) << atoms, atoms)
-    return [unpack(c, layout) for c in cluster_values(p, N, layout.variable(0) + 1)]
-
-
-def cluster_polys(p: Sequence[int], N: int) -> list[WeightPoly]:
-    """C_0(t)..C_N(t): cluster weight enumerators in the plain t basis."""
-    from .weightring import compose_shift
-
-    return [compose_shift(c, -1) for c in cluster_polys_shifted(p, N)]
+    layout = packing_layout(1, math.factorial(N) * 3 ** atoms, atoms)
+    t = layout.variable(0)
+    half = t >> 1
+    offset = half * (t ** (atoms + 1) - 1) // (t - 1)  # half in each of A+1 digits
+    polys = []
+    for n, c in enumerate(cluster_values(p, N, t)):
+        top = max(n - len(p) + 1, 0)  # C_n has at most n-k+1 atoms, so top+1 digits
+        digits = unpack(c + (offset >> layout.bits * (atoms - top)), layout)
+        ones = sum(d for _, d in digits.items()) - (top + 1) * half
+        if ones:
+            raise PackingOverflow(f"C_{n}(1) = {ones}, expected 0: "
+                                  f"{layout.bits} bits per coefficient overflowed")
+        polys.append(WeightPoly(1, {e: d - half for e, d in digits.items()}))
+    return polys
 
 
 def cluster_values(p: Sequence[int], N: int, t_value) -> list:

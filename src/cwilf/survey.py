@@ -9,16 +9,18 @@ else.  Every series still comes from the router (`analysis._series`), and
 `clusters` takes its class, label and run member from the router's
 `analysis._cluster_route`: its C_n(t) comes from the cheapest member,
 whose counts at t = 0 must equal every member's probe counts and whose
-terms in u = t - 1 must pass the two-atom check (`_check_two_atoms`),
-which reads the number of two-atom clusters off the window pairs of the
-moment checks: the product over the gaps of the shared values of binomials
-that interleave the two atoms' own entries (`weightring._window_pairs`).
+terms must pass the two-atom check (`_check_two_atoms`) on their first two
+coefficients in u = t - 1, read off the t coefficients with binomials.  It
+takes the number of two-atom clusters from the window pairs of the moment
+checks: the product over the gaps of the shared values of binomials that
+interleave the two atoms' own entries (`weightring._window_pairs`).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
+from math import comb
 
 from .analysis import SeriesReport, _cluster_route, _series, avoidance_series
 from .cli import EXIT_INCONSISTENT, EXIT_OK, _emit, _emit_json, _resolve_cap
@@ -160,19 +162,20 @@ def hit_parade(k: int, N: int | None = None) -> list[SeriesReport]:
 
 # -- the command handlers ----------------------------------------------------
 
-def _check_two_atoms(p: tuple[int, ...], shifted: Sequence[WeightPoly]) -> None:
+def _check_two_atoms(p: tuple[int, ...], terms: Sequence[WeightPoly]) -> None:
     """[u]C_n = [n = k] and [u^2]C_n = e(n-k) for the cluster enumerators
-    C_n(u) of a pattern of length k, e(d) counting the two-atom clusters
-    whose second atom starts d after the first (`_window_pairs`; 0 unless
-    0 < d < k)."""
+    C_n of a pattern of length k, e(d) counting the two-atom clusters whose
+    second atom starts d after the first (`_window_pairs`; 0 unless
+    0 < d < k).  [u^i]C_n is read off the coefficients c_j of C_n(t) as
+    sum_j C(j, i)*c_j, t^j being (u+1)^j."""
     from .weightring import _window_pairs
 
     k = len(p)
     two_atoms = _window_pairs(p, p)  # offset d at index d+k-1
-    for n, c in enumerate(shifted):
+    for n, c in enumerate(terms):
         d = n - k
         for i, expected in ((1, int(d == 0)), (2, two_atoms[d + k - 1][1] if 0 < d < k else 0)):
-            got = c.coefficient((i,))
+            got = sum(comb(j, i) * c_j for (j,), c_j in c.items())
             if got != expected:
                 raise InconsistentResult(f"[u^{i}]C_{n} = {got}, expected {expected}")
 
@@ -180,12 +183,10 @@ def _check_two_atoms(p: tuple[int, ...], shifted: Sequence[WeightPoly]) -> None:
 def _cmd_clusters(args) -> int:
     p = parse_pattern(args.pattern)
     from . import cluster_dp
-    from .weightring import compose_shift
 
     members, label, run, check_members = _cluster_route(p, args.n)
-    shifted = cluster_dp.cluster_polys_shifted(run, args.n)
-    _check_two_atoms(run, shifted)
-    terms = [compose_shift(c, -1) for c in shifted]
+    terms = cluster_dp.cluster_polys(run, args.n)
+    _check_two_atoms(run, terms)
     check_members(cluster_dp._chop([c.coefficient((0,)) for c in terms], len(p)))
     if args.format == "json":
         _emit_json(SeriesReport(format_pattern(p), label, tuple(map(format_pattern, members)),

@@ -11,11 +11,12 @@ result back as a polynomial.  Evaluation is a ring homomorphism, so
 negative intermediate values are harmless; only the decoded result needs
 its coefficients in [0, 2^B) and its exponents below the stride D.  The
 engines size B from n! (positive engine, and P_n(t) in the cluster engine)
-or n!*2^(n-k+1) (cluster enumerators in u = t - 1), and D from the most
-occurrences that fit.  :class:`WeightPoly` is the type at the edges
-(decoded results, display, the brute-force oracles), and the one the
-positive engine computes with past three tracked variables, where the
-dense layout would outgrow the sparse polynomials.
+or n!*3^(N-k+1) (cluster enumerators C_n(t), whose coefficients are signed:
+the caller adds 2^(B-1) to every digit before `unpack` and takes it off
+after), and D from the most occurrences that fit.  :class:`WeightPoly` is
+the type at the edges (decoded results, display, the brute-force oracles),
+and the one the positive engine computes with past three tracked
+variables, where the dense layout would outgrow the sparse polynomials.
 
 A :class:`PatternAssignment` is the one factor table of a pattern family,
 for every engine and oracle that weighs windows: its patterns are forbidden
@@ -259,24 +260,6 @@ def as_weight_poly(value, nvars: int) -> WeightPoly:
             raise ValueError(f"variable count mismatch: {value.nvars} vs {nvars}")
         return value
     return WeightPoly.const(value, nvars)
-
-
-def compose_shift(poly: WeightPoly, offset: int) -> WeightPoly:
-    """For a univariate polynomial p(x), return p(x + offset), exactly.
-
-    Horner evaluation in the polynomial ring; used to move between the
-    natural cluster basis u = t - 1 and the plain t basis.
-    """
-    if poly.nvars != 1:
-        raise ValueError("compose_shift needs a univariate polynomial")
-    coeffs = {e[0]: c for e, c in poly.items()}
-    if not coeffs:
-        return poly
-    x_plus = WeightPoly(1, {(1,): 1, (0,): offset})
-    result = WeightPoly.zero(1)
-    for d in range(max(coeffs), -1, -1):
-        result = result * x_plus + coeffs.get(d, 0)
-    return result
 
 
 class PackingOverflow(InconsistentResult):

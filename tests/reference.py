@@ -17,7 +17,11 @@ only to validate the engines, so it stays independent of them:
   recurrence of the monotone patterns (`monotone_cluster_series`);
 - the window-pair counts behind the second moments and the two-atom check
   (`window_pairs`), as linear extensions by a subset DP;
-- `pack`, a polynomial's value at a packing layout's point.
+- `pack`, a polynomial's value at a packing layout's point;
+- the cluster enumerators in the shifted variable u = t - 1
+  (`cluster_polys_shifted`, decoded at a packed u) and Horner's rule
+  in the polynomial ring (`compose_shift`), which moves them to t:
+  `cwilf.cluster_dp.cluster_polys` decodes C_n(t) directly.
 
 The brute-force enumerators that a command runs (`brute_weight_enum`,
 `brute_avoider_count`) stay in `cwilf.permcore`.  An engine's internals are
@@ -485,3 +489,35 @@ def pack(weight, layout: Packing) -> int:
     if not isinstance(weight, WeightPoly):
         return weight
     return weight.evaluate([layout.variable(i) for i in range(layout.nvars)])
+
+
+# -- cluster enumerators in u = t - 1 -------------------------------------------
+
+def compose_shift(poly: WeightPoly, offset: int) -> WeightPoly:
+    """For a univariate polynomial p(x), return p(x + offset), exactly.
+
+    Horner evaluation in the polynomial ring; used to move between the
+    natural cluster basis u = t - 1 and the plain t basis.
+    """
+    if poly.nvars != 1:
+        raise ValueError("compose_shift needs a univariate polynomial")
+    coeffs = {e[0]: c for e, c in poly.items()}
+    if not coeffs:
+        return poly
+    x_plus = WeightPoly(1, {(1,): 1, (0,): offset})
+    result = WeightPoly.zero(1)
+    for d in range(max(coeffs), -1, -1):
+        result = result * x_plus + coeffs.get(d, 0)
+    return result
+
+
+def cluster_polys_shifted(p: Sequence[int], N: int) -> list[WeightPoly]:
+    """C_0..C_N as polynomials in the shifted variable u = t - 1, decoded
+    from their values at u = 2^B (`cluster_values`)."""
+    from cwilf.cluster_dp import _check_depth, cluster_values
+    from cwilf.weightring import packing_layout, unpack
+
+    _check_depth(N)
+    atoms = max(N - len(p) + 1, 0)
+    layout = packing_layout(1, math.factorial(N) << atoms, atoms)
+    return [unpack(c, layout) for c in cluster_values(p, N, layout.variable(0) + 1)]

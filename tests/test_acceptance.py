@@ -13,7 +13,6 @@ from cwilf import analysis, patterns, survey
 from cwilf.cluster_dp import (
     assemble_counts,
     cluster_polys,
-    cluster_polys_shifted,
     _extension_slots,
 )
 from cwilf.patterns import all_patterns, reduction, symmetry_class
@@ -23,6 +22,7 @@ from cwilf.weightring import PatternAssignment, WeightPoly
 from helpers import factorials, random_poly, random_state_table
 from reference import (
     brute_cluster_enum,
+    cluster_polys_shifted,
     egf_identity_check,
     monotone_cluster_series,
     split_ending_cluster,

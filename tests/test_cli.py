@@ -250,18 +250,44 @@ def test_corrupt_second_moment_exits_4(monkeypatch, engine):
 
 def test_corrupt_two_atom_count_exits_4(monkeypatch):
     # 123's two-atom clusters are at most 5 long, so [u^2]C_15 = 0; adding
-    # u^3 + u^2 keeps C_15 at t = 0 (u = -1), and n = 15 lies past the
-    # member check's probe depth anyway
-    honest = cluster_dp.cluster_polys_shifted
+    # t^3 - 2t^2 + t, which is u^3 + u^2, keeps C_15 at t = 0 and t = 1,
+    # and n = 15 lies past the member check's probe depth anyway
+    honest = cluster_dp.cluster_polys
 
     def corrupted(p, N):
-        shifted = honest(p, N)
-        shifted[15] = shifted[15] + WeightPoly(1, {(2,): 1, (3,): 1})
-        return shifted
+        terms = honest(p, N)
+        terms[15] = terms[15] + WeightPoly(1, {(3,): 1, (2,): -2, (1,): 1})
+        return terms
 
-    monkeypatch.setattr(cluster_dp, "cluster_polys_shifted", corrupted)
+    monkeypatch.setattr(cluster_dp, "cluster_polys", corrupted)
     code, out, err = run_cli(["clusters", "123", "--n", "20"])
     assert (code, out, err) == (cli.EXIT_INCONSISTENT, "", "error: [u^2]C_15 = 1, expected 0\n")
+
+
+def test_undersized_cluster_layout_exits_4(monkeypatch):
+    # 6 bits hold balanced digits below 32 in size; C_20(t) has larger
+    # coefficients, whose carries move the digit sum off C_n(1) = 0
+    def six_bits(nvars, coeff_bound, degree_bound):
+        return Packing(nvars, 6, degree_bound + 1)
+
+    monkeypatch.setattr(weightring, "packing_layout", six_bits)
+    code, out, err = run_cli(["clusters", "123", "--n", "20"])
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: C_") and "(1) = " in err and "expected 0" in err
+
+
+def test_clusters_multiplies_no_polynomials(monkeypatch):
+    # C_n(t) is decoded straight from packed integers, not shifted from u
+    # to t in the polynomial ring
+    expected = run_cli(["clusters", "123", "--n", "60"])
+
+    def refuse(self, other):
+        raise AssertionError("WeightPoly product on the clusters route")
+
+    monkeypatch.setattr(WeightPoly, "__mul__", refuse)
+    assert run_cli(["clusters", "123", "--n", "60"]) == expected
+    assert expected[0] == 0
 
 
 def test_short_packing_stride_exits_4(monkeypatch):

@@ -12,7 +12,6 @@ from cwilf.analysis import _series
 from cwilf.cluster_dp import (
     assemble_counts,
     cluster_polys,
-    cluster_polys_shifted,
     cluster_tables,
     cluster_values,
     overlap_set,
@@ -26,6 +25,7 @@ from reference import (
     cluster_tables_by_entry,
     EgfReport,
     brute_cluster_enum,
+    cluster_polys_shifted,
     egf_identity_check,
     extend_cluster,
     monotone_cluster_series,

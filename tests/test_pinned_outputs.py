@@ -1,4 +1,4 @@
-"""Recorded stdout of the positive engine's less common routes.
+"""Recorded stdout of the positive engine's less common routes and of `clusters`.
 
 Each command's stdout SHA-256 was recorded from the release before the
 positive engine's assignments became one class, and must not move:
@@ -7,10 +7,15 @@ path with four tracked variables, a packed set with a pattern forbidden
 (no P_n(1) = n! check can catch a fault there), and a mixed-length
 cross-check.  The `crosscheck` commands after those were recorded from
 the release before `crosscheck` built its columns through the series
-router.  The last four were recorded from the release before the
-positive engine stored its tables as runs: the rows where a split gap
-reads expanded cells (avoided 2143 and 1324, tracked 2143 alone and with
-132 forbidden) and a mixed-length set.  The benchmark's own commands are
+router.  The four `count` commands after those were recorded from the
+release before the positive engine stored its tables as runs: the rows
+where a split gap reads expanded cells (avoided 2143 and 1324, tracked
+2143 alone and with 132 forbidden) and a mixed-length set.  The
+`clusters` commands were recorded from the release before C_n(t) was
+decoded at t = 2^B in balanced digits, when it was decoded in u = t - 1
+and shifted to t in the polynomial ring: overlap sets {1, 2} (123, and
+2413 in JSON), {1, 2, 3, 4} (12345) and {1} (132 in JSON, a class of
+four), and a pattern of length 2.  The benchmark's own commands are
 pinned in `test_reference_outputs.py`.
 """
 
@@ -56,6 +61,16 @@ PINNED = {
         "30593056246bb261d52725080d234b214c5a1360c67a9a62fde78469abb9ed73",
     "count --avoid 132;4321 --n 20 --engine positive":
         "59e7204085689348d5ec64a3c90d4ea4e98eeac4e37fbb78cc0d9345c0de8831",
+    "clusters 123 --n 60":
+        "9f69afabcadc3b7473ed39d5ba289837f7bfa8865130a25d49e39d625aa44168",
+    "clusters 2413 --n 40 --format json":
+        "57eb72dd7dafa920f897ea2b42b9d9186e9c0494de2c2f03589095c12c76101f",
+    "clusters 12345 --n 25":
+        "bbdcf8978848d13dbd1282015a7674f48f444ddf73ad15033e1f0ac3fdf931a0",
+    "clusters 132 --n 80 --format json":
+        "a4522e342a5e6b4bab538f919f1c663406146493391ef59e28dc6e87d198f188",
+    "clusters 12 --n 9":
+        "9ad8fa8c0c5258c1f0bcdf7d7bb09ef1e1bd274f4c76ae9924ad6f17db6d9076",
 }
 
 

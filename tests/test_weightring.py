@@ -11,13 +11,12 @@ from cwilf.weightring import (
     PatternAssignment,
     WeightPoly,
     as_weight_poly,
-    compose_shift,
     packing_layout,
     unpack,
 )
 from cwilf.patterns import occurrences, reduction
 from helpers import random_poly
-from reference import pack
+from reference import compose_shift, pack
 
 T = WeightPoly.variable(0, 1)
 ONE = WeightPoly.const(1, 1)
