@@ -318,7 +318,17 @@ def _padded(column: tuple, lo: int, hi: int) -> tuple[list, list]:
 
 
 def _add(a: tuple, b: tuple) -> tuple:
-    """Two columns of the same placements summed over the union of their values."""
+    """Two columns of the same placements summed over the union of their values.
+
+    A shared step merges the columns of groups that differ only in their
+    last value w, a shared value outside the key.  No such merge is known
+    to leave a gap: over every pattern of length 3-7 (n = 3k, 21 for
+    length 7) each of the 73,838 merges met two columns whose ranges of
+    the first key value x overlap, 72,392 of them from the same least x,
+    but no argument that none can is known.  A gap would still add
+    exactly, its values padded with zeros and marked present in neither
+    column.
+    """
     lo, hi = min(a[0], b[0]), max(a[0] + len(a[1]), b[0] + len(b[1]))
     (wa, pa), (wb, pb) = _padded(a, lo, hi), _padded(b, lo, hi)
     return lo, list(map(add, wa, wb)), list(map(or_, pa, pb))
@@ -370,9 +380,10 @@ def cluster_tables(p: Sequence[int], N: int, u,
 
 def cluster_polys(p: Sequence[int], N: int) -> list[WeightPoly]:
     """C_0(t)..C_N(t) from their values at t = 2^B (`cluster_values`): with
-    half = 2^(B-1) added to each digit C_n can fill, `unpack` reads them, and
-    they must sum to half per digit, as C_n(1) = 0: every cluster has an atom."""
-    from .weightring import PackingOverflow, WeightPoly, packing_layout, unpack
+    half = 2^(B-1) added to each digit C_n can fill, the digits are read as
+    `unpack` reads them, and they must sum to half per digit, as C_n(1) = 0:
+    every cluster has an atom."""
+    from .weightring import PackingOverflow, WeightPoly, _digits, packing_layout
 
     _check_depth(N)
     atoms = max(N - len(p) + 1, 0)
@@ -383,8 +394,8 @@ def cluster_polys(p: Sequence[int], N: int) -> list[WeightPoly]:
     polys = []
     for n, c in enumerate(cluster_values(p, N, t)):
         top = max(n - len(p) + 1, 0)  # C_n has at most n-k+1 atoms, so top+1 digits
-        digits = unpack(c + (offset >> layout.bits * (atoms - top)), layout)
-        ones = sum(d for _, d in digits.items()) - (top + 1) * half
+        digits = _digits(c + (offset >> layout.bits * (atoms - top)), layout)
+        ones = sum(digits.values()) - (top + 1) * half
         if ones:
             raise PackingOverflow(f"C_{n}(1) = {ones}, expected 0: "
                                   f"{layout.bits} bits per coefficient overflowed")

@@ -11,16 +11,22 @@ append creates exactly one new window, whose pattern is a function of q and
 of which gap between consecutive j-values the new rank lands in; the window's
 factor (0, 1, or a tracked variable) multiplies the weight.
 
-A table is stored in the groups that the next append reads (`StateTable`).
-The reference step, `step_append` in `tests/reference.py`, loops over
-every child rank i.  `step_append_aggregated` pulls each child from its
-one group of parents: all children of a group in one gap weigh the same,
-so the step writes one run per group and gap, split only where a factor
-changes inside it.  The next table's group totals are prefix sums of the
-runs' weights, and cells are expanded from the runs only where a split or
-`StateTable.cells` reads them.  Which factor applies where is worked out
-once per run, in a plan that each table hands on to its child.  The two
-steps must agree exactly on every input.
+A table keeps its totals as value-indexed grids (`StateTable`): per order
+of the retained values and drop index, lines over the newest retained
+value.  The reference step, `step_append` in `tests/reference.py`, loops
+over every child rank i.  `step_append_aggregated` pulls each child from
+its one parent key: all children of a key in one gap weigh the same, and
+along a column over the oldest retained value, which the children drop
+next, their line is fixed and the bounds on i either stay or move with
+that value.  So each gap adds a whole slab of columns into the children's
+difference grids with a few slices, whose prefix sums are the next
+table's totals; where a factor changes as i passes the dropped value, the
+parent's cells summed by dropped value are added the same way.  The cells
+stay in the blocks that wrote them until the tests or a rare step read
+them, and keys of other shapes than windows of three or four have their
+steps there too (`positive_cells`).  Which factor applies where is worked
+out once per run, in a plan that each table hands on to its child.  The
+two steps must agree exactly on every input.
 
 The steps are generic over the weight ring: integers, or `WeightPoly` for
 the tests and the reference runs.  One `PatternAssignment` supplies every
@@ -46,9 +52,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Iterable, Mapping, Sequence
-from itertools import accumulate, compress, repeat
-from operator import add, itemgetter, lshift, mul, sub
+from collections.abc import Mapping, Sequence
+from itertools import accumulate, chain, repeat
+from operator import add, lshift, mul, sub
 
 from .patterns import all_patterns, reduction
 from .weightring import PatternAssignment, WeightPoly, as_weight_poly, packing_layout, unpack
@@ -73,84 +79,79 @@ def _suffix(o: tuple, d: int) -> tuple:
     return (d + 1,) + tuple(r + 1 if r > d else r for r in o)
 
 
-def _group_key(order_index: int, values: Iterable[int], width: int) -> int:
-    key = order_index
-    for v in values:
-        key = key << width | v
-    return key
-
-
 class StateTable:
-    """Weights of all permutations of size n, stored as runs of cells.
+    """Weights of all permutations of size n, kept as value-indexed grids.
 
-    A state (q, j) is the cell (d, key, x) of what it drops and keeps next:
-    drop index d = q[0]-1, value x = j[d], and a key of the index of
-    o = reduction(q[1:]) among the orders of length k-2, then a field of
-    `width` = bitlen(n) bits per retained value, smallest first.
-    `lines[base]` (`_new_line`) holds the runs on the keys base + i*stride.
-    `totals[oi][key][d]`, read off the lines' prefix sums, is the weight of
-    drop index d on a key of order index oi whose totals are not all 0.
-    `cells` is the flat (q, j) -> w view: its length is the live count kept
-    as runs are written, and its cells are expanded from the runs
-    (`_cells_of`) only to be read.
+    A state (q, j) is the cell (d, s, x) of what it drops and keeps next:
+    drop index d = q[0]-1, value x = j[d], and the k-2 retained values s,
+    the rest of j, whose order o = reduction(q[1:]) has index oi among the
+    orders of length k-2.  Field a = o[0]-1 of s holds the oldest retained
+    value, the one a child drops next, and field c = o[-1]-1 the newest.
+    `slabs[oi]` maps the values of the other fields to one grid per drop
+    index: entry s[a]*(n+2) + s[c] of grid d is the total weight of drop
+    index d on that key, each line of a grid running over the newest
+    value.  With one value kept (k = 3) a = c, and a grid is one line.
+
+    The cells are kept as the constructor gave them (`given`, (s, x, w) per
+    cell) or as the blocks of the step that wrote them, one per slab and
+    gap (`blocks`), per class (d, oi).  `_cells_of` and the flat (q, j) ->
+    w view `cells` read them (`positive_cells`); the view's length, the
+    live count, is counted off the blocks without building a cell.
     """
 
     def __init__(self, n: int, k: int, cells):
-        width = n.bit_length()
-        index = {o: i for i, o in enumerate(all_patterns(k - 2))}
-        lines: dict[int, list] = {}
+        orders, width = all_patterns(k - 2), n + 2
+        index = {o: i for i, o in enumerate(orders)}
+        slabs: list[dict] = [{} for _ in orders]
+        given: dict[tuple[int, int], list] = defaultdict(list)
         for (q, j), w in cells.items():
-            d = q[0] - 1
-            key = _group_key(index[reduction(q[1:])], j[:d] + j[d + 1:], width)
-            i = key & (1 << width) - 1  # one run per cell, on its key's lowest field
-            line = lines.get(key - i) or lines.setdefault(key - i, _new_line(1, n + 2, k))
-            line[1].append((d, i, i + 1, j[d], w))
-            line[2 + d][i] += w
-            line[2 + d][i + 1] -= w
-        self._build(n, k, lines, len(cells), None)
+            d, oi = q[0] - 1, index[reduction(q[1:])]
+            s, o = j[:d] + j[d + 1:], orders[oi]
+            a, c = (o[0] - 1, o[-1] - 1) if o else (0, 0)
+            grids = slabs[oi].get(key := tuple(v for f, v in enumerate(s) if f not in (a, c))) \
+                or slabs[oi].setdefault(key, _new_slab(width, k))
+            at = s[a] * width * (k > 3) + s[c] if o else 0
+            grids[d][at] += w
+            grids[d][at + 1] -= w
+            given[d, oi].append((s, j[d], w))
+        self._build(n, k, slabs, {}, dict(given), None)
 
-    def _build(self, n: int, k: int, lines: dict, live: int, plan) -> StateTable:
-        # plan: (assignment, pull plan, layouts by bit width) of the run that
-        # built the table, or None
-        self.n, self.k, self.lines, self.live, self._plan = n, k, lines, live, plan
-        self.width = n.bit_length()
-        self._classes: dict[tuple[int, int], dict] = {}
-        shift = self.width * (k - 2)
-        self.totals: list[dict] = [{} for _ in all_patterns(k - 2)]
-        for base, (stride, _runs, *columns) in lines.items():
-            sums = list(zip(*map(accumulate, columns)))
-            self.totals[base >> shift].update(compress(
-                zip(range(base, base + len(sums) * stride, stride), sums), map(any, sums)))
+    def _build(self, n: int, k: int, slabs: list, blocks: dict, given: dict,
+               plan) -> StateTable:
+        # slabs hold difference grids until here, whose lines each sum to 0;
+        # plan: (assignment, pull plan) of the run that built the table, or None
+        for by_others in slabs:
+            for grids in by_others.values():
+                grids[:] = [list(accumulate(grid)) for grid in grids]
+        self.n, self.k, self.slabs, self._plan = n, k, slabs, plan
+        self.blocks, self.given = blocks, given
+        self._classes: dict[tuple[int, int], _Class] = {}
+        self._live = None  # the live count, once `positive_cells.live` counts it
         return self
 
-    def _cells_of(self, d: int, oi: int) -> Mapping[int, list]:
-        """key -> [(x, w), ...] by increasing x, for the cells with drop
-        index d and retained order index oi: expanded from the runs once."""
+    def _cells_of(self, d: int, oi: int) -> _Class:
+        """The cells with drop index d and order index oi (`_Class`)."""
         found = self._classes.get((d, oi))
         if found is None:
-            found = self._classes[d, oi] = defaultdict(list)
-            shift = self.width * (self.k - 2)
-            ordered = sorted(((x, base, stride, lo, end, w)
-                              for base, (stride, runs, *_columns) in self.lines.items()
-                              if base >> shift == oi
-                              for d2, lo, end, x, w in runs if d2 == d), key=itemgetter(0))
-            for x, base, stride, lo, end, w in ordered:
-                cell = (x, w)
-                for key in range(base + lo * stride, base + end * stride, stride):
-                    found[key].append(cell)
+            found = self._classes[d, oi] = _Class(
+                self.n, all_patterns(self.k - 2)[oi], self.given.get((d, oi), ()),
+                self.blocks.get((d, oi), ()))
         return found
 
     @property
     def cells(self) -> Mapping[State, object]:
-        return _Cells(self)
+        from .positive_cells import Cells
+
+        return Cells(self)
 
     def weight_sum(self, assignment):
         """Sum of all cell weights, each suffix factor (a function of (o, d))
         applied once per sum."""
         orders = all_patterns(self.k - 2)
         total = 0
-        for oi, by_key in enumerate(self.totals):
-            for d, t in enumerate(map(sum, zip(*by_key.values()))):
+        for oi, by_others in enumerate(self.slabs):
+            for d in range(self.k - 1):
+                t = sum([sum(grids[d]) for grids in by_others.values()])
                 if t:
                     f = assignment.suffix_factor(_suffix(orders[oi], d))
                     if f != 0:
@@ -170,43 +171,70 @@ def _decoded(value, assignment, n: int) -> WeightPoly:
     return unpack(value, assignment.layout, None if assignment.zero else math.factorial(n))
 
 
-class _Cells(Mapping):
-    """The flat (q, j) -> w view of a table's runs.  A lookup reads the
-    view's own expansion (`items`), made by the first one."""
+class _Class:
+    """The cells of one class (d, o) of a size-n table: those given and the
+    blocks that hold them, until read (`positive_cells.expanded`)."""
 
-    def __init__(self, table: StateTable):
-        self._table = table
-        self._found: dict | None = None
+    def __init__(self, n: int, o: tuple, given, blocks):
+        self.n, self.o, self.given, self.blocks = n, o, given, blocks
+        self.found: dict | None = None
+        self._by_dropped: dict | None = None
 
-    def __len__(self) -> int:
-        return self._table.live
+    def by_dropped(self) -> dict:
+        """others -> D: the class's weights summed over the oldest retained
+        value, on the keys whose values other than the oldest and the newest
+        are `others`.  D[x*(n+2) + i] sums the cells of drop value x on those
+        keys with newest value i.
 
-    def __getitem__(self, state: State):
-        if self._found is None:
-            self._found = dict(self.items())
-        return self._found[state]
+        A block of an unsplit row with at most two values kept, whose
+        bounds on i do not depend on the parent's newest value, writes its
+        part whole, summed over that value, and so do cells given.  Other
+        classes are read off their cells (`positive_cells.by_dropped`)."""
+        if self._by_dropped is None:
+            width = self.n + 2
+            diff = [0] * width * width
+            whole = self.found is None and len(self.o) < 3
+            for o, _others, grids, row, p, _source in self.blocks if whole else ():
+                _d2, _o2, terms, change, _shifts, lo_at, end_at = row
+                if change or {lo_at, end_at} - {None, _MOVING}:
+                    whole = False
+                    break
+                # per oldest value, the sum over the newest
+                weights = _combined(terms, grids, 0, len(grids[0]))
+                rows = weights if len(o) == 1 else _line_sums(weights, width - 1)
+                for bound, op in ((lo_at, add), (end_at, sub)):
+                    step = width + (bound == _MOVING)
+                    first = (width - 1 if bound is None and op is sub else 1) + \
+                        int(o[0] > p) * width
+                    at = slice(first, first + len(rows) * step, step)
+                    diff[at] = map(op, diff[at], rows)
+            if whole:
+                self._by_dropped = {(): list(accumulate(diff))}
+                for s, x, w in self.given:
+                    self._by_dropped[()][x * width + s[self.o[-1] - 1]] += w
+            else:
+                from .positive_cells import by_dropped
 
-    def __iter__(self):
-        return (state for state, _w in self.items())
-
-    def items(self):
-        table = self._table
-        mask = (1 << table.width) - 1
-        for oi, o in enumerate(all_patterns(table.k - 2)):
-            for d in range(table.k - 1):
-                q = _suffix(o, d)
-                for key, dropped in table._cells_of(d, oi).items():
-                    s = [key >> table.width * t & mask for t in range(table.k - 3, -1, -1)]
-                    for x, w in dropped:
-                        yield (q, (*s[:d], x, *s[d:])), w
+                self._by_dropped = by_dropped(self)
+        return self._by_dropped
 
 
-def _new_line(stride: int, size: int, k: int) -> list:
-    """[stride, runs, a column per drop index]: the runs on keys base +
-    i*stride.  A run (d, lo, end, x, w) is the cell (d, key, x) of weight w
-    for lo <= i < end: it adds w at lo and -w at end of column d, whose
-    prefix sums are then the keys' totals."""
-    return [stride, [], *([0] * size for _ in range(k - 1))]
+def _new_slab(size: int, k: int) -> list:
+    """A slab's difference grids, one per drop index: size*size entries,
+    or size with one value kept."""
+    return [[0] * (size * size if k > 3 else size) for _ in range(k - 1)]
+
+
+def _combined(terms: list, columns: Sequence, start: int, stop: int) -> list:
+    """Per entry start..stop-1 of the columns, the sum over (d, op, by) in
+    `terms` of columns[d], or op(columns[d], by)."""
+    out = None
+    for d, op, by in terms:
+        column = columns[d][start:stop]
+        if op is not None:
+            column = map(op, column, repeat(by))
+        out = column if out is None else map(add, out, column)
+    return [0] * (stop - start) if out is None else list(out)
 
 
 def init_table(k: int) -> StateTable:
@@ -227,160 +255,153 @@ def _with_rank(ranks: tuple, g: int) -> tuple:
     return tuple(r + 1 if r > g else r for r in ranks) + (g + 1,)
 
 
-def _pull_plan(k: int, factor) -> list:
-    """Per retained order (by index) and gap p: the child's group and factors.
+# a bound on the new entry that moves with the value the child drops next
+_MOVING = -1
 
-    A parent dropping its oldest entry, of rank d+1, keeps the order o.  A
-    child whose new entry lands in gap p of the retained values has suffix
-    q2 = o with rank p+1 appended, so it drops index d2 = q2[0]-1 next and
-    keeps the order o2 = reduction(q2[1:]).  Its window factor is fixed by
-    d, except that for d = p it moves by `change` once the new entry passes
+
+def _pull_plan(k: int, factor) -> list:
+    """Per retained order (by index) and gap p: the child's class and factors.
+
+    A parent dropping its oldest entry, of rank d+1, keeps the order o, of
+    retained values s.  A child whose new entry i lands in gap p of s has
+    suffix q2 = o with rank p+1 appended, so it drops index d2 = q2[0]-1
+    next and keeps the order o2 = reduction(q2[1:]).  Its window factor is
+    fixed by d, except that for d = p it moves by `change` once i passes
     the dropped value.  Drop indices whose fixed factor is 0 are left out.
 
-    The child's values are s[:p] + (i,) + (s[p:] each plus one).  It drops
-    the one at index d2 next and keeps the rest in order: `kept` gives, per
-    value field of its group key, the pair (r, u) for the value s[r] + u, or
-    None for the new entry i; `x2_from` gives the pair for the value x2 it
-    drops, or None when k = 2 and x2 is i itself.
+    Row (d2, o2, terms, change, shifts, lo, end): the child weighs the sum
+    over (d, op, by) in `terms` of the parent's total of drop index d, or
+    op(total, by).  It drops x2 = s[a] + (a >= p) next, a = o[0]-1 the
+    oldest retained field, and keeps the other values, each plus its entry
+    of `shifts`, with i inserted among them at field p - (a < p).
+    s[p-1] < i <= s[p]: lo and end name the kept value, other than s[a],
+    whose value plus one bounds i, by its index among them, or are None for
+    1 and n+2, or `_MOVING` for s[a]+1.
     """
-    m = k - 1
-    orders = all_patterns(m - 1)
+    fields = k - 2
+    orders = all_patterns(fields)
     index = {o: oi for oi, o in enumerate(orders)}
-    plan = []
+    plan, seen = [], []
     for o in orders:
-        parents = [_suffix(o, d) for d in range(m)]
+        parents = [_suffix(o, d) for d in range(k - 1)]
+        a = o[0] - 1 if o else -1
         rows = []
-        for p in range(m):
+        for p in range(k - 1):
             # the dropped value is below the new entry exactly when d < p
-            fixed = [(d, factor(_with_rank(parents[d], p + (d < p)))) for d in range(m)]
+            fixed = [(d, factor(_with_rank(parents[d], p + (d < p)))) for d in range(k - 1)]
             below = factor(_with_rank(parents[p], p + 1))
             q2 = _with_rank(o, p)
-            d2 = q2[0] - 1
-            values = [(r, 0) for r in range(p)] + [None] + [(r, 1) for r in range(p, m - 1)]
-            rows.append((d2, index[reduction(q2[1:])], [(d, f) for d, f in fixed if f],
-                         below - fixed[p][1], values[:d2] + values[d2 + 1:], values[d2]))
+            # 0/1 factors add; a power of two, as packed variables are,
+            # shifts: with every factor a plain multiply, in-process `count
+            # --track "123;321" --n 24` took 60 ms instead of 36 (medians of
+            # 11 runs, 2 shared vCPUs, Python 3.11.7)
+            terms = [(d, None, 0) if f == 1 else (d, lshift, f.bit_length() - 1)
+                     if isinstance(f, int) and f > 0 and not f & f - 1 else (d, mul, f)
+                     for d, f in fixed if f]
+            # rows of equal terms share them, and the step their weights
+            if terms in seen:
+                terms = seen[seen.index(terms)]
+            seen.append(terms)
+            rows.append((q2[0] - 1, index[reduction(q2[1:])], terms, below - fixed[p][1],
+                         tuple(int(r >= p) for r in range(fields) if r != a),
+                         None if p == 0 else _MOVING if p - 1 == a else p - 1 - (p > a),
+                         None if p == fields else _MOVING if p == a else p - (p > a)))
         plan.append(rows)
     return plan
 
 
-def _at_width(plan: list, k: int, width: int, child: int) -> list:
-    """The plan for a step from keys of `width` to `child` bits per value.
+def _transposed(grid: list, width: int) -> list:
+    """A grid of lines of `width` entries as lines over those entries, each
+    led by a 0: entry v*(len(grid)/width + 1) + 1 + x holds entry x*width + v."""
+    return list(chain.from_iterable(zip(repeat(0, width), *zip(*[iter(grid)] * width))))
 
-    Row (p, d2, start, terms, change, base, copies, stride, lo, end, x2): a
-    group's fixed weight in gap p is, per (d, scale, by) in `terms`, its
-    total t of drop index d, or scale(t, by), summed, or taken off the sum
-    of its totals if `start`.  A child key is `base`, plus each parent field
-    moved per (shift, mask, offset) of `copies`, plus i times `stride`.  lo
-    <= i < end, and the x2 dropped next, are (shift, mask, plus) for
-    (key >> shift & mask) + plus, where a plus of None stands for n+2.
-    """
-    mask, top, fields = (1 << width) - 1, child * (k - 2), k - 2
 
-    def read(r: int, plus: int) -> tuple:
-        # the parent value s[r] plus `plus`, or `plus` alone outside s
-        return (width * (fields - 1 - r), mask, plus) if 0 <= r < fields else (0, 0, plus)
-
-    out = []
-    for rows in plan:
-        level = []
-        for p, (d2, o2, fixed, change, kept, x2_from) in enumerate(rows):
-            base, copies, stride = o2 << top, [], 1
-            for t, field in enumerate(kept):
-                offset = top - child * (t + 1)
-                if field is None:
-                    stride = 1 << offset
-                else:
-                    base += field[1] << offset
-                    copies.append((width * (fields - 1 - field[0]), mask, offset))
-            factors = dict(fixed)
-            # 0/1 factors start from the sum when fewer totals are left out;
-            # a power of two, as packed variables are, shifts.  Both pay:
-            # with every factor a plain multiply, in-process `count --track
-            # "123;321" --n 24` took 60 ms instead of 36 (medians of 11
-            # runs, 2 shared vCPUs, Python 3.11.7)
-            from_sum = [(d, -1) for d in range(k - 1) if d not in factors]
-            start = all(f == 1 for f in factors.values()) and len(from_sum) < len(factors)
-            terms = [(d, None, 0) if start or g == 1 else (d, lshift, g.bit_length() - 1)
-                     if isinstance(g, int) and g > 0 and not g & g - 1 else (d, mul, g)
-                     for d, g in (from_sum if start else fixed)]
-            level.append((p, d2, start, terms, change, base, copies, stride, read(p - 1, 1),
-                          read(p, 1) if p < fields else (0, 0, None),
-                          read(*x2_from) if x2_from else (0, 0, 0)))
-        out.append(level)
-    return out
+def _line_sums(grid: list, width: int) -> list:
+    """The sums of a grid's lines of `width` entries."""
+    return list(map(sum, zip(*[iter(grid)] * width)))
 
 
 def step_append_aggregated(table: StateTable, assignment) -> StateTable:
-    """Same contract as the reference `step_append`, pulled from retained-value groups.
+    """Same contract as the reference `step_append`, pulled slab by slab.
 
-    A group's children come from no other group, and in its gap p only the
-    new entry i varies: x2 is fixed, the key steps with i, and the weight is
-    the fixed factors times the group's totals (taken for all groups of an
-    order at once).  So the step writes one run per group and gap, split at
-    the group's dropped values, expanded from the parent's runs, only where
-    the factor moves as i passes them (`change`).  The plan depends only on
-    the assignment: the first step builds it, each table hands it on.
+    A parent key's children in gap p come from no other key, and only their
+    new entry i varies: they drop x2 = s[a] + u next and weigh the key's
+    fixed factors times its totals, for s[p-1] < i <= s[p].  Along a column
+    over the oldest value s[a] the child's line is fixed, and each bound on
+    i either stays (its difference entry takes the column's sum) or moves
+    with s[a] (it takes the column, at an offset).  With k = 3 or 4 a slab's
+    columns land on consecutive child lines, so with its grids transposed
+    once a gap writes the whole slab with a few slices; with more values
+    kept each column lands on a child slab of its own
+    (`positive_cells.pull_stacked`), and k = 2 keeps no value
+    (`positive_cells.pull_window_of_two`).  Where the factor moves by
+    `change` as i passes the parent's dropped value (a split row), each
+    column also takes change times its keys' cells summed by dropped value
+    (`_Class.by_dropped`).  The cells are left as one block per slab and gap
+    (`positive_cells.columns`).  The plan depends only on the assignment:
+    the first step builds it, each table hands it on.
     """
     n, k = table.n, table.k
     plan = table._plan
     if plan is None or plan[0] is not assignment:
-        plan = (assignment, _pull_plan(k, assignment.factor), {})
-    widths = (n.bit_length(), (n + 1).bit_length())
-    layout = plan[2].get(widths) or plan[2].setdefault(widths, _at_width(plan[1], k, *widths))
-    lines: dict[int, list] = {}
-    live = 0
-    for oi, rows in enumerate(layout):
-        by_key = table.totals[oi]
-        columns = list(zip(*by_key.values())) or [()] * (k - 1)
-        sums = list(map(sum, by_key.values()))
-        for (p, d2, start, terms, change, base0, copies, stride, (lo_shift, lo_mask, lo_plus),
-             (end_shift, end_mask, end_plus), (x2_shift, x2_mask, x2_plus)) in rows:
-            end_plus = n + 2 if end_plus is None else end_plus
-            values = sums if start else None
-            for d, scale, by in terms:
-                column = columns[d] if scale is None else map(scale, columns[d], repeat(by))
-                values = column if values is None else map(sub if start else add, values, column)
-            values = list(values or [0] * len(sums))
-            groups = compress(zip(by_key, values), values)
-            if change:
-                # every group with cells to pass, its totals 0 or not
-                dropped = table._cells_of(p, oi)
-                extra = dropped.keys() - by_key.keys()
-                groups = zip([*by_key, *extra], values + [0] * len(extra))
-            for key, value in groups:
-                base = base0
-                for shift, mask, offset in copies:
-                    base += (key >> shift & mask) << offset
-                lo = (key >> lo_shift & lo_mask) + lo_plus
-                end = (key >> end_shift & end_mask) + end_plus
-                x2 = (key >> x2_shift & x2_mask) + x2_plus
-                line = lines.get(base)
-                if line is None:
-                    line = lines[base] = _new_line(stride, n + 3, k)
-                diff = line[2 + d2]
-                diff[lo] += value
-                if change:
-                    # one run per piece between dropped values y
-                    for y, w in dropped.get(key, ()):
-                        y += 1
-                        if value:
-                            line[1].append((d2, lo, y, x2, value))
-                            live += y - lo
-                        w = w if change == 1 else change * w
-                        diff[y] += w
-                        value, lo = value + w, y
-                diff[end] -= value
-                if value:
-                    line[1].append((d2, lo, end, x2, value))
-                    live += end - lo
+        plan = (assignment, _pull_plan(k, assignment.factor))
     if k == 2:
-        # a child keeps no values and drops its new entry i next: its runs
-        # are on key i, and its state is ((1,), (i,))
-        table = StateTable(n + 1, 2, {((1,), (i,)): w for line in lines.values()
-                                      for _d, lo, end, _x, w in line[1] for i in range(lo, end)})
-        table._plan = plan
-        return table
-    return StateTable.__new__(StateTable)._build(n + 1, k, lines, live, plan)
+        from .positive_cells import pull_window_of_two
+
+        return pull_window_of_two(table, plan)
+    width, wide, orders = n + 2, n + 3, all_patterns(k - 2)
+    # the lines of a slab's columns over the oldest value (`_transposed`):
+    # one per newest value with two values kept, the one line with one
+    lines = width if k == 4 else 1
+    slabs: list[dict] = [{} for _ in orders]
+    blocks: dict[tuple[int, int], list] = {}
+    for oi, rows in enumerate(plan[1]):
+        if k > 4:
+            from .positive_cells import pull_stacked
+
+            pull_stacked(table, oi, rows, slabs, blocks)
+            continue
+        grids = table.slabs[oi].get(())
+        # per distinct terms, the weights' columns as lines and their sums
+        made: dict[int, tuple] = {}
+        for p, row in enumerate(rows if grids else ()):
+            d2, o2, terms, change, shifts, lo_at, end_at = row
+            if not terms and not change:
+                continue
+            if id(terms) not in made:
+                values = _transposed(_combined(terms, grids, 0, len(grids[0])), lines)
+                made[id(terms)] = values, _line_sums(values, wide)
+            values, total = ends, end_total = made[id(terms)]
+            source = split = None
+            if change:
+                source = table._cells_of(p, oi)
+                # past all its dropped values a key weighs change times their
+                # total more, and each adds its part as i passes it: change
+                # times the cells by dropped value, at y+1
+                ends = list(map(add, values, map(mul, _transposed(grids[p], lines),
+                                                 repeat(change))))
+                end_total = _line_sums(ends, wide)
+                split = source.by_dropped().get((), [0] * width * width)
+                split = list(map(mul, _transposed(
+                    split if k == 4 else _line_sums(split, width), lines), repeat(change)))
+            # the columns land on consecutive child lines, the first on the
+            # newest value's shift (k = 4), or on the child's one line
+            diff = (slabs[o2].get(()) or slabs[o2].setdefault((), _new_slab(wide, k)))[d2]
+            span = slice(sum(shifts) * wide, (sum(shifts) + lines) * wide)
+            for bound, whole, part, op in ((lo_at, values, total, add),
+                                           (end_at, ends, end_total, sub)):
+                if bound == _MOVING:
+                    diff[span] = map(op, diff[span], whole)
+                    continue
+                # 1 or n+2, or the newest value plus one
+                step = wide + (bound is not None)
+                at = span.start + (width if bound is None and op is sub else 1)
+                at = slice(at, at + lines * step, step)
+                diff[at] = map(op, diff[at], part)
+            if change:
+                diff[span] = map(add, diff[span], split)
+            blocks.setdefault((d2, o2), []).append((orders[oi], (), grids, row, p, source))
+    return StateTable.__new__(StateTable)._build(n + 1, k, slabs, blocks, {}, plan)
 
 
 def PackedAssignment(assignment: PatternAssignment, N: int) -> PatternAssignment:

@@ -296,6 +296,16 @@ def unpack(value: int, layout: Packing, mass: int | None = None) -> WeightPoly:
     small for any other variable is not detectable here: its excess spills
     into the next variable's exponent and keeps the digit sum.
     """
+    terms = _digits(value, layout)
+    if mass is not None and sum(terms.values()) != mass:
+        raise PackingOverflow(
+            f"packed coefficients sum to {sum(terms.values())}, expected {mass}: "
+            f"{layout.bits} bits per coefficient overflowed")
+    return WeightPoly(layout.nvars, terms)
+
+
+def _digits(value: int, layout: Packing) -> dict[tuple, int]:
+    """exponents -> digit for the nonzero digits of a packed value (`unpack`)."""
     if value < 0:
         raise PackingOverflow(f"negative packed value at {layout.bits} bits per coefficient")
     # slicing the binary text is linear in the width; shifting `value` one
@@ -312,11 +322,7 @@ def unpack(value: int, layout: Packing, mass: int | None = None) -> WeightPoly:
                 raise PackingOverflow(f"exponent beyond the stride {stride}")
             terms[tuple(digit // stride ** i % stride for i in range(layout.nvars))] = coeff
         digit += 1
-    if mass is not None and sum(terms.values()) != mass:
-        raise PackingOverflow(
-            f"packed coefficients sum to {sum(terms.values())}, expected {mass}: "
-            f"{layout.bits} bits per coefficient overflowed")
-    return WeightPoly(layout.nvars, terms)
+    return terms
 
 
 class PatternAssignment:

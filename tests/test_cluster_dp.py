@@ -15,6 +15,7 @@ from cwilf.cluster_dp import (
     cluster_tables,
     cluster_values,
     overlap_set,
+    _add,
     _extension_slots,
 )
 from cwilf.patterns import all_patterns, format_pattern, symmetry_class
@@ -475,6 +476,16 @@ def test_value_indexed_tables_match_the_entry_by_entry_spread(patterns, N):
             assert list(cluster_tables(p, N, u, work)) == list(
                 cluster_tables_by_entry(p, N, u, expected_work)), (p, u)
             assert work == expected_work, (p, u)
+
+
+def test_adding_columns_marks_only_the_values_either_holds():
+    # value ranges 2..3 and 6..7 leave 4 and 5 to neither: they pad the sum
+    # with zeros and stay unmarked, and a zero weight one holds stays marked
+    a, b = (2, [5, 0], [True, True]), (6, [1, 4], [True, False])
+    expected = (2, [5, 0, 0, 0, 1, 4], [True, True, False, False, True, False])
+    assert _add(a, b) == _add(b, a) == expected
+    # overlapping ranges add where both hold values
+    assert _add((1, [1, 2, 3], [True] * 3), (2, [10], [True])) == (1, [1, 12, 3], [True] * 3)
 
 
 def test_split_ending_cluster_worked_example():

@@ -1,10 +1,11 @@
-"""Positive-engine tables stored as runs: one weight per group and gap.
+"""Positive-engine tables kept as value-indexed grids and blocks of cells.
 
-`step_append_aggregated` writes runs and reads group totals off prefix sums;
-cells are expanded from the runs only where a gap is split or `.cells` is
-read.  These tests chain the pulled step against the reference
-`step_append` on random families, cover the groups whose totals cancel,
-and check that counting a table's cells expands nothing.
+`step_append_aggregated` writes each table's totals with slices over the
+parent's columns and leaves its cells as blocks, expanded only where
+`.cells` is read.  These tests chain the pulled step against the reference
+`step_append` on random families, cover the keys whose totals cancel,
+check that counting a table's cells expands nothing, and that a run
+expands only the classes its split rows read.
 """
 
 import math
@@ -18,6 +19,7 @@ from cwilf.positive_dp import (
     StateTable,
     _pull_plan,
     build_assignment,
+    enumerate_for_patterns,
     init_table,
     step_append_aggregated,
 )
@@ -26,15 +28,15 @@ from reference import step_append
 
 # first and last entries adjacent in value: the window factor moves as the
 # new entry passes the dropped value, so the pulled step splits gaps
-ADJACENT_ENDS = [p for m in (3, 4, 5) for p in all_patterns(m) if abs(p[0] - p[-1]) == 1]
+ADJACENT_ENDS = [p for m in (2, 3, 4, 5, 6) for p in all_patterns(m) if abs(p[0] - p[-1]) == 1]
 
 
 def _family(rng, k, tracked):
-    """One adjacent-ends pattern of length k, then patterns of lengths 3..k,
-    `tracked` of them tracked and the rest avoided."""
+    """One adjacent-ends pattern of length k, then patterns of lengths 3..k
+    (2 for k = 2), `tracked` of them tracked and the rest avoided."""
     patterns = [rng.choice([p for p in ADJACENT_ENDS if len(p) == k])]
-    while len(patterns) < max(tracked, 1) + rng.randint(0, 2):
-        p = rng.choice(all_patterns(rng.randint(3, k)))
+    while len(patterns) < min(max(tracked, 1) + rng.randint(0, 2), 2 if k == 2 else 5):
+        p = rng.choice(all_patterns(rng.randint(min(k, 3), k)))
         if p not in patterns:
             patterns.append(p)
     rng.shuffle(patterns)
@@ -50,6 +52,12 @@ def _cases():
         tracked = {"avoided": 0, "packed": rng.randint(1, 3), "sparse": 4}[mode]
         steps = rng.randint(3, 5)
         yield k, mode, tracked, steps, random.Random(rng.random())
+    # the narrowest and the widest keys; the reference steps k = 6 slowly
+    for k, mode, steps in [(2, "avoided", 4), (2, "avoided", 5), (2, "packed", 4),
+                           (2, "packed", 5), (6, "avoided", 2), (6, "avoided", 3),
+                           (6, "packed", 2)]:
+        tracked = rng.randint(1, 2) if mode == "packed" else 0
+        yield k, mode, tracked, steps, random.Random(rng.random())
 
 
 @pytest.mark.parametrize("k, mode, tracked, steps, rng", list(_cases()))
@@ -57,7 +65,7 @@ def test_chained_run_tables_match_the_reference(k, mode, tracked, steps, rng):
     first, second = _family(rng, k, tracked), _family(rng, k, tracked)
     if mode == "packed":
         first, second = (PackedAssignment(a, k + steps) for a in (first, second))
-    fast = slow = init_table(k)
+    fast = slow = lazy = init_table(k)
     switch = rng.randint(1, steps - 1)
     for level in range(steps):
         a = first if level < switch else second
@@ -67,6 +75,10 @@ def test_chained_run_tables_match_the_reference(k, mode, tracked, steps, rng):
         assert fast.cells == slow.cells
         # mixed lengths: the shorter patterns' suffix factors apply here
         assert fast.weight_sum(a) == slow.weight_sum(a)
+        # a chain whose cells are read only at its end steps on its blocks
+        lazy = step_append_aggregated(lazy, a)
+        assert lazy.weight_sum(a) == slow.weight_sum(a)
+    assert lazy.cells == slow.cells
 
 
 def test_the_chained_cases_split_gaps_and_apply_suffix_factors():
@@ -120,3 +132,21 @@ def test_counting_cells_expands_no_runs(monkeypatch):
     # the cell counts `perfbench/layertrace.py` reports for `avoid-set`
     counts = [len(t.cells) for t in levels]
     assert (sum(counts), max(counts)) == (89656, 13798)
+
+
+def test_a_run_expands_only_the_classes_of_its_split_rows(monkeypatch):
+    # unsplit rows read only totals; a split row reads its parent's cells of
+    # the class it walks, (drop index p, order index), and nothing else does
+    asked = set()
+    honest = StateTable._cells_of
+
+    def recorded(self, d, oi):
+        asked.add((d, oi))
+        return honest(self, d, oi)
+
+    monkeypatch.setattr(StateTable, "_cells_of", recorded)
+    avoid_set = [(1, 3, 2, 4), (2, 1, 4, 3)]
+    enumerate_for_patterns(avoid=avoid_set, N=25)
+    split = {(p, oi) for oi, rows in enumerate(_pull_plan(4, build_assignment(avoid_set).factor))
+             for p, row in enumerate(rows) if row[3]}
+    assert asked == split and split
