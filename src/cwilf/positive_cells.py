@@ -22,7 +22,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import add, mul, sub
 
 from .patterns import all_patterns
-from .positive_dp import _MOVING, _combined, _new_slab, _suffix
+from .positive_dp import _MOVING, _combined, _new_slab, _suffix, _times
 
 
 def columns(n: int, o: tuple, others: tuple, grids: list, row: tuple, p: int, source):
@@ -63,7 +63,8 @@ def pieces(lo: int, end: int, value, change, y0: int, ys: Sequence) -> list:
     if not ys:
         return [value] * (end - lo)
     weights = [value] * (y0 - lo) + list(accumulate(
-        ys if change == 1 else map(mul, ys, repeat(change)), initial=value))
+        ys if change == 1 else map(mul if isinstance(change, int) else _times, ys,
+                                   repeat(change)), initial=value))
     return weights + [weights[-1]] * (end - lo - len(weights))
 
 
@@ -105,6 +106,7 @@ def pull_stacked(table, oi: int, rows: list, slabs: list, blocks: dict) -> None:
             if weights is None:
                 weights = made[id(terms)] = _combined(terms, stacked, 0, (b1 - b0) * plane)
             source = dropped = None
+            times = mul if isinstance(change, int) else _times
             if change:
                 source = table._cells_of(p, oi)
                 by_dropped = source.by_dropped()
@@ -128,7 +130,7 @@ def pull_stacked(table, oi: int, rows: list, slabs: list, blocks: dict) -> None:
                 for bound, op, value in bounds:
                     part = values
                     if change and op is sub:
-                        part = list(map(add, values, map(mul, stacked[p][newest::width],
+                        part = list(map(add, values, map(times, stacked[p][newest::width],
                                                          repeat(change))))
                     if bound == _MOVING:
                         # s[a] + 1: the plane's lines, each led by a 0
@@ -144,7 +146,7 @@ def pull_stacked(table, oi: int, rows: list, slabs: list, blocks: dict) -> None:
                     at = slice(first, first + (b1 - b0) * step, step)
                     diff[at] = map(op, diff[at], map(sum, zip(*[iter(part)] * width)))
                 if change:
-                    padded = padded_lines(list(map(mul, split, repeat(change))), width)
+                    padded = padded_lines(list(map(times, split, repeat(change))), width)
                     at = slice(base + 1, base + 1 + len(padded))
                     diff[at] = map(add, diff[at], padded)
         for v, grids in by_b.items():

@@ -296,7 +296,7 @@ def _pull_plan(k: int, factor) -> list:
             # --track "123;321" --n 24` took 60 ms instead of 36 (medians of
             # 11 runs, 2 shared vCPUs, Python 3.11.7)
             terms = [(d, None, 0) if f == 1 else (d, lshift, f.bit_length() - 1)
-                     if isinstance(f, int) and f > 0 and not f & f - 1 else (d, mul, f)
+                     if isinstance(f, int) and f > 0 and not f & f - 1 else (d, _times, f)
                      for d, f in fixed if f]
             # rows of equal terms share them, and the step their weights
             if terms in seen:
@@ -308,6 +308,12 @@ def _pull_plan(k: int, factor) -> list:
                          None if p == fields else _MOVING if p == a else p - (p > a)))
         plan.append(rows)
     return plan
+
+
+def _times(x, factor):
+    """x times a factor, an int 0 staying one: a polynomial factor would
+    make each 0 of a grid a polynomial of its own."""
+    return x * factor if x else x
 
 
 def _transposed(grid: list, width: int) -> list:
@@ -378,11 +384,12 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
                 # past all its dropped values a key weighs change times their
                 # total more, and each adds its part as i passes it: change
                 # times the cells by dropped value, at y+1
-                ends = list(map(add, values, map(mul, _transposed(grids[p], lines),
+                times = mul if isinstance(change, int) else _times
+                ends = list(map(add, values, map(times, _transposed(grids[p], lines),
                                                  repeat(change))))
                 end_total = _line_sums(ends, wide)
                 split = source.by_dropped().get((), [0] * width * width)
-                split = list(map(mul, _transposed(
+                split = list(map(times, _transposed(
                     split if k == 4 else _line_sums(split, width), lines), repeat(change)))
             # the columns land on consecutive child lines, the first on the
             # newest value's shift (k = 4), or on the child's one line

@@ -141,6 +141,8 @@ class WeightPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._terms:
+            return self  # the zero polynomial too: a grid's runs end on it
         terms = dict(self._terms)
         for exps, coeff in other._terms.items():
             new = terms.get(exps, 0) + coeff
