@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
-from itertools import accumulate, chain, compress, repeat
-from operator import add, mul, sub
+from itertools import accumulate, compress, repeat
+from operator import add, mul
 
 from .patterns import all_patterns
-from .positive_dp import _MOVING, _combined, _new_slab, _suffix, _times
+from .positive_dp import _MOVING, _combined, _suffix, _times
 
 
 def columns(n: int, o: tuple, others: tuple, grids: list, row: tuple, p: int, source):
@@ -49,7 +49,7 @@ def columns(n: int, o: tuple, others: tuple, grids: list, row: tuple, p: int, so
             (1 if lo_at is None else vals[lo_at] + 1, 0)
         end, es = (lo_a + 1, 1) if end_at == _MOVING else \
             (width if end_at is None else vals[end_at] + 1, 0)
-        values = _combined(terms, cols, lo_a, hi_a)
+        values = _combined(terms, [col[lo_a:hi_a] for col in cols])
         split = [pieces(lo + r * ls, end + r * es, w, change,
                         *expanded(source).get((*vals[:a], lo_a + r, *vals[a:]), (0, ())))
                  for r, w in enumerate(values)] if change else None
@@ -68,100 +68,6 @@ def pieces(lo: int, end: int, value, change, y0: int, ys: Sequence) -> list:
     return weights + [weights[-1]] * (end - lo - len(weights))
 
 
-def pull_stacked(table, oi: int, rows: list, slabs: list, blocks: dict) -> None:
-    """`positive_dp.step_append_aggregated` for the slabs of order oi with
-    three or more values kept.
-
-    A child's oldest value is the parent's second oldest s[b], and its
-    other values but i are the parent's other than s[a] and s[b]: the slabs
-    that differ only in s[b] write into one child slab per newest value,
-    each on the child line of its s[b].  Stacked over s[b], their grids
-    give per newest value the plane over (s[b], s[a]) that goes there, one
-    slice per (gap, stack, newest value).
-    """
-    n, k = table.n, table.k
-    width, wide, fields = n + 2, n + 3, k - 2
-    o = all_patterns(fields)[oi]
-    a, b, c = o[0] - 1, o[1] - 1, o[-1] - 1
-    # positions of s[c] and s[b] among the values kept but s[a], of s[b]
-    # among those but s[c] too, and of the rest
-    ic, jb = c - (c > a), b - (b > a)
-    ib = jb - (jb > ic)
-    others_at = [j for j in range(fields - 1) if j not in (ic, jb)]
-    stacks: dict[tuple, dict] = defaultdict(dict)
-    for others, grids in table.slabs[oi].items():
-        stacks[others[:ib] + others[ib + 1:]][others[ib]] = grids
-    zero, plane = [0] * (width * width), width * width
-    for rest, by_b in stacks.items():
-        # s[b] runs over b0..b1-1: the stack's planes hold those lines only
-        b0, b1 = min(by_b), max(by_b) + 1
-        stacked = [list(chain.from_iterable(by_b[v][d] if v in by_b else zero
-                                            for v in range(b0, b1))) for d in range(k - 1)]
-        made: dict[int, list] = {}
-        for p, row in enumerate(rows):
-            d2, o2, terms, change, shifts, lo_at, end_at = row
-            if not terms and not change:
-                continue
-            weights = made.get(id(terms))
-            if weights is None:
-                weights = made[id(terms)] = _combined(terms, stacked, 0, (b1 - b0) * plane)
-            source = dropped = None
-            times = mul if isinstance(change, int) else _times
-            if change:
-                source = table._cells_of(p, oi)
-                by_dropped = source.by_dropped()
-                dropped = list(chain.from_iterable(
-                    by_dropped.get((*rest[:ib], v, *rest[ib:]), zero) for v in range(b0, b1)))
-            # the child's others: the rest and the newest value, shifted
-            kept = [rest[j] + shifts[at] for j, at in enumerate(others_at)]
-            lift, into = shifts[ic], ic - (ic > jb)
-            head, tail, base = kept[:into], kept[into:], (b0 + shifts[jb]) * wide
-            bounds = [(bound, op, None if bound is None or bound == _MOVING else
-                       -1 if bound == ic else -2 if bound == jb else rest[others_at.index(bound)])
-                      for bound, op in ((lo_at, add), (end_at, sub))]
-            child = slabs[o2]
-            for newest in range(width):
-                values = weights[newest::width]
-                split = dropped[newest::width] if change else None
-                if not any(values) and not (change and any(split)):
-                    continue
-                others2 = (*head, newest + lift, *tail)
-                diff = (child.get(others2) or child.setdefault(others2, _new_slab(wide, k)))[d2]
-                for bound, op, value in bounds:
-                    part = values
-                    if change and op is sub:
-                        part = list(map(add, values, map(times, stacked[p][newest::width],
-                                                         repeat(change))))
-                    if bound == _MOVING:
-                        # s[a] + 1: the plane's lines, each led by a 0
-                        padded = padded_lines(part, width)
-                        at = slice(base + 1, base + 1 + len(padded))
-                        diff[at] = map(op, diff[at], padded)
-                        continue
-                    # 1 or n+2, the newest value, s[b] or another value, plus one
-                    first = base + (width if bound is None and op is sub else 1 if bound is None
-                                    else newest + 1 if value == -1 else b0 + 1 if value == -2
-                                    else value + 1)
-                    step = wide + (value == -2)
-                    at = slice(first, first + (b1 - b0) * step, step)
-                    diff[at] = map(op, diff[at], map(sum, zip(*[iter(part)] * width)))
-                if change:
-                    padded = padded_lines(list(map(times, split, repeat(change))), width)
-                    at = slice(base + 1, base + 1 + len(padded))
-                    diff[at] = map(add, diff[at], padded)
-        for v, grids in by_b.items():
-            others = (*rest[:ib], v, *rest[ib:])
-            for p, row in enumerate(rows):
-                if row[2] or row[3]:
-                    blocks.setdefault(row[:2], []).append(
-                        (o, others, grids, row, p, table._cells_of(p, oi) if row[3] else None))
-
-
-def padded_lines(grid: list, width: int) -> list:
-    """A grid's lines of `width` entries, each followed by a 0 but the last."""
-    return list(chain.from_iterable(map(chain, zip(*[iter(grid)] * width), repeat((0,)))))[:-1]
-
-
 def pull_window_of_two(table, plan):
     """`positive_dp.step_append_aggregated` on windows of length 2: a child
     keeps no value and drops its new entry i next, so its state is
@@ -170,7 +76,7 @@ def pull_window_of_two(table, plan):
 
     _d2, _o2, terms, change, *_ = plan[1][0][0]
     n, grids = table.n, table.slabs[0].get((), [[0]])
-    weights = pieces(1, n + 2, _combined(terms, [[sum(grids[0])]], 0, 1)[0], change,
+    weights = pieces(1, n + 2, _combined(terms, [[sum(grids[0])]])[0], change,
                      *expanded(table._cells_of(0, 0)).get((), (1, ())))
     child = StateTable(n + 1, 2, {((1,), (i,)): w for i, w in enumerate(weights, 1) if w})
     child._plan = plan

@@ -200,7 +200,7 @@ class _Class:
                     whole = False
                     break
                 # per oldest value, the sum over the newest
-                weights = _combined(terms, grids, 0, len(grids[0]))
+                weights = _combined(terms, grids)
                 rows = weights if len(o) == 1 else _line_sums(weights, width - 1)
                 for bound, op in ((lo_at, add), (end_at, sub)):
                     step = width + (bound == _MOVING)
@@ -225,16 +225,14 @@ def _new_slab(size: int, k: int) -> list:
     return [[0] * (size * size if k > 3 else size) for _ in range(k - 1)]
 
 
-def _combined(terms: list, columns: Sequence, start: int, stop: int) -> list:
-    """Per entry start..stop-1 of the columns, the sum over (d, op, by) in
-    `terms` of columns[d], or op(columns[d], by)."""
+def _combined(terms: list, columns: Sequence) -> list:
+    """Per entry of the columns, the sum over (d, op, by) in `terms` of
+    columns[d], or op(columns[d], by)."""
     out = None
     for d, op, by in terms:
-        column = columns[d][start:stop]
-        if op is not None:
-            column = map(op, column, repeat(by))
+        column = columns[d] if op is None else map(op, columns[d], repeat(by))
         out = column if out is None else map(add, out, column)
-    return [0] * (stop - start) if out is None else list(out)
+    return [0] * len(columns[0]) if out is None else list(out)
 
 
 def init_table(k: int) -> StateTable:
@@ -319,7 +317,16 @@ def _times(x, factor):
 def _transposed(grid: list, width: int) -> list:
     """A grid of lines of `width` entries as lines over those entries, each
     led by a 0: entry v*(len(grid)/width + 1) + 1 + x holds entry x*width + v."""
+    if width == 1:
+        return [0, *grid]
     return list(chain.from_iterable(zip(repeat(0, width), *zip(*[iter(grid)] * width))))
+
+
+def _stacked(grids: list, width: int) -> list:
+    """Grids end to end, `width` zeros between each two (one as it is)."""
+    gap = [0] * width
+    return grids[0] if len(grids) == 1 else \
+        list(chain(grids[0], *chain.from_iterable((gap, grid) for grid in grids[1:])))
 
 
 def _line_sums(grid: list, width: int) -> list:
@@ -327,25 +334,35 @@ def _line_sums(grid: list, width: int) -> list:
     return list(map(sum, zip(*[iter(grid)] * width)))
 
 
+def _cut(line: list, parts: int) -> list:
+    """A list cut into `parts` lists of equal length (itself for one)."""
+    size = len(line) // parts
+    return [line] if parts == 1 else [line[at:at + size] for at in range(0, len(line), size)]
+
+
 def step_append_aggregated(table: StateTable, assignment) -> StateTable:
-    """Same contract as the reference `step_append`, pulled slab by slab.
+    """Same contract as the reference `step_append`, pulled plane by plane.
 
     A parent key's children in gap p come from no other key, and only their
     new entry i varies: they drop x2 = s[a] + u next and weigh the key's
     fixed factors times its totals, for s[p-1] < i <= s[p].  Along a column
     over the oldest value s[a] the child's line is fixed, and each bound on
     i either stays (its difference entry takes the column's sum) or moves
-    with s[a] (it takes the column, at an offset).  With k = 3 or 4 a slab's
-    columns land on consecutive child lines, so with its grids transposed
-    once a gap writes the whole slab with a few slices; with more values
-    kept each column lands on a child slab of its own
-    (`positive_cells.pull_stacked`), and k = 2 keeps no value
-    (`positive_cells.pull_window_of_two`).  Where the factor moves by
-    `change` as i passes the parent's dropped value (a split row), each
-    column also takes change times its keys' cells summed by dropped value
-    (`_Class.by_dropped`).  The cells are left as one block per slab and gap
-    (`positive_cells.columns`).  The plan depends only on the assignment:
-    the first step builds it, each table hands it on.
+    with s[a] (it takes the column, at an offset).  The child's oldest
+    value is the parent's second oldest s[b], so the columns of the keys
+    that differ only in s[b] land on consecutive lines of one child slab:
+    stacked and transposed once, a parent's grids are planes of such rows,
+    one per newest value with three or more values kept, or one per slab,
+    whose rows run over the newest value (k = 4) or are the one line
+    (k = 3).  A gap writes a plane with a few slices: a bound at 1 or n+2,
+    or at a value fixed for the plane, takes the rows' sums down a column,
+    one at s[b]+1 down the diagonal, and one at s[a]+1 takes the plane.
+    Where the factor moves by `change` as i passes the parent's dropped
+    value (a split row), each row also takes change times its keys' cells
+    summed by dropped value (`_Class.by_dropped`).  k = 2 keeps no value
+    (`positive_cells.pull_window_of_two`).  The cells are left as one block
+    per slab and gap (`positive_cells.columns`).  The plan depends only on
+    the assignment: the first step builds it, each table hands it on.
     """
     n, k = table.n, table.k
     plan = table._plan
@@ -356,58 +373,81 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
 
         return pull_window_of_two(table, plan)
     width, wide, orders = n + 2, n + 3, all_patterns(k - 2)
-    # the lines of a slab's columns over the oldest value (`_transposed`):
-    # one per newest value with two values kept, the one line with one
-    lines = width if k == 4 else 1
+    # a grid's lines run over the newest value, or it is the one line
+    lines, zero = width if k > 3 else 1, [0] * width * width
+    zeros = [zero] * (k - 1)
     slabs: list[dict] = [{} for _ in orders]
     blocks: dict[tuple[int, int], list] = {}
     for oi, rows in enumerate(plan[1]):
-        if k > 4:
-            from .positive_cells import pull_stacked
-
-            pull_stacked(table, oi, rows, slabs, blocks)
-            continue
-        grids = table.slabs[oi].get(())
-        # per distinct terms, the weights' columns as lines and their sums
-        made: dict[int, tuple] = {}
-        for p, row in enumerate(rows if grids else ()):
-            d2, o2, terms, change, shifts, lo_at, end_at = row
-            if not terms and not change:
-                continue
-            if id(terms) not in made:
-                values = _transposed(_combined(terms, grids, 0, len(grids[0])), lines)
-                made[id(terms)] = values, _line_sums(values, wide)
-            values, total = ends, end_total = made[id(terms)]
-            source = split = None
-            if change:
-                source = table._cells_of(p, oi)
-                # past all its dropped values a key weighs change times their
-                # total more, and each adds its part as i passes it: change
-                # times the cells by dropped value, at y+1
-                times = mul if isinstance(change, int) else _times
-                ends = list(map(add, values, map(times, _transposed(grids[p], lines),
-                                                 repeat(change))))
-                end_total = _line_sums(ends, wide)
-                split = source.by_dropped().get((), [0] * width * width)
-                split = list(map(times, _transposed(
-                    split if k == 4 else _line_sums(split, width), lines), repeat(change)))
-            # the columns land on consecutive child lines, the first on the
-            # newest value's shift (k = 4), or on the child's one line
-            diff = (slabs[o2].get(()) or slabs[o2].setdefault((), _new_slab(wide, k)))[d2]
-            span = slice(sum(shifts) * wide, (sum(shifts) + lines) * wide)
-            for bound, whole, part, op in ((lo_at, values, total, add),
-                                           (end_at, ends, end_total, sub)):
-                if bound == _MOVING:
-                    diff[span] = map(op, diff[span], whole)
+        o = orders[oi]
+        # among the values kept but s[a], jb and ic are the fields of s[b]
+        # (the one value with one kept) and of the newest; a slab's key
+        # leaves s[b] out at ib, a plane's keeps the newest at `into`
+        a, b, c = o[0] - 1, o[len(o) > 1] - 1, o[-1] - 1
+        jb, ic = b - (b > a), c - (c > a)
+        ib, into = jb - (jb > ic), ic - (ic > jb)
+        stacks: dict[tuple, dict] = defaultdict(dict)
+        for others, grids in table.slabs[oi].items():
+            stacks[others[:ib] + others[ib + 1:]][others[ib] if k > 4 else 0] = others, grids
+        for rest, by_b in stacks.items():
+            # s[b] runs over b0..b1-1: per drop index, the stack's grids,
+            # whose lines transposed lead each row of a plane with a 0
+            b0, b1 = min(by_b), max(by_b) + 1
+            stack = by_b[b0][1] if b1 - b0 == 1 else [_stacked(grids, lines) for grids in zip(
+                *(by_b[v][1] if v in by_b else zeros for v in range(b0, b1)))]
+            # per plane, the values kept but s[a] and s[b]
+            fixed = [(*rest[:into], v, *rest[into:]) for v in range(width)] if k > 4 else [()]
+            made: dict[int, tuple] = {}
+            for p, row in enumerate(rows):
+                d2, o2, terms, change, shifts, lo_at, end_at = row
+                if not terms and not change:
                     continue
-                # 1 or n+2, or the newest value plus one
-                step = wide + (bound is not None)
-                at = span.start + (width if bound is None and op is sub else 1)
-                at = slice(at, at + lines * step, step)
-                diff[at] = map(op, diff[at], part)
-            if change:
-                diff[span] = map(add, diff[span], split)
-            blocks.setdefault((d2, o2), []).append((orders[oi], (), grids, row, p, source))
+                if id(terms) not in made:
+                    values = _transposed(_combined(terms, stack), lines)
+                    made[id(terms)] = _cut(values, len(fixed)), \
+                        _cut(_line_sums(values, wide), len(fixed))
+                weights = ends = made[id(terms)]
+                split, source = repeat(None), None
+                if change:
+                    # past all its dropped values a key weighs change times
+                    # their total more, and each adds its part as i passes
+                    # it: change times the cells by dropped value, at y+1
+                    times = mul if isinstance(change, int) else _times
+                    values = list(map(add, chain.from_iterable(weights[0]), map(
+                        times, _transposed(stack[p], lines), repeat(change))))
+                    ends = _cut(values, len(fixed)), _cut(_line_sums(values, wide), len(fixed))
+                    source = table._cells_of(p, oi)
+                    by_dropped = source.by_dropped()
+                    split = [by_dropped.get((*rest[:ib], v, *rest[ib:]) if k > 4 else (), zero)
+                             for v in range(b0, b1)]
+                    split = _cut(list(map(times, _transposed(_stacked(
+                        split, lines) if k > 3 else _line_sums(split[0], width), lines),
+                        repeat(change))), len(fixed))
+                # the rows land on the child lines of their s[b], shifted
+                base = (b0 + sum(shifts[jb:jb + 1])) * wide
+                lifts, child = shifts[:jb] + shifts[jb + 1:], slabs[o2]
+                for held, part, total, end, end_total, moved in zip(fixed, *weights, *ends, split):
+                    if not any(part) and not (change and any(moved)):
+                        continue
+                    key = tuple(map(add, held, lifts))
+                    diff = (child.get(key) or child.setdefault(key, _new_slab(wide, k)))[d2]
+                    span = slice(base, base + len(part))
+                    for bound, op, whole, whole_sums in ((lo_at, add, part, total),
+                                                         (end_at, sub, end, end_total)):
+                        if bound == _MOVING:
+                            diff[span] = map(op, diff[span], whole)
+                            continue
+                        # 1 or n+2, s[b] or a value fixed for the plane, plus one
+                        first = base + ((width if op is sub else 1) if bound is None else
+                                        b0 + 1 if bound == jb else held[bound - (bound > jb)] + 1)
+                        step = wide + (bound == jb)
+                        at = slice(first, first + len(whole_sums) * step, step)
+                        diff[at] = map(op, diff[at], whole_sums)
+                    if change:
+                        diff[span] = map(add, diff[span], moved)
+                found = blocks.setdefault((d2, o2), [])
+                for others, grids in by_b.values():
+                    found.append((o, others, grids, row, p, source))
     return StateTable.__new__(StateTable)._build(n + 1, k, slabs, blocks, {}, plan)
 
 
