@@ -1,4 +1,4 @@
-"""The positive engine's tables cell by cell, and its steps on other keys.
+"""The positive engine's tables cell by cell, and its step on windows of two.
 
 `positive_dp.step_append_aggregated` keeps each table's totals as grids and
 its cells as the blocks of the step that wrote them, one per parent slab
@@ -7,11 +7,10 @@ Only the tests, the benchmark's tracer and a step that walks a class of
 cells its blocks cannot sum whole (`positive_dp._Class.by_dropped`) read
 the cells: expanding a class (`expanded`), its totals by dropped value
 from its cells (`by_dropped`), counting a table's live cells (`live`) and
-the flat (q, j) -> w view (`Cells`).  Beside them are the steps on keys
-that do not fit `positive_dp`'s one slab per order: windows of two, which
-keep no value (`pull_window_of_two`), and windows of five or more, whose
-columns each land on a child slab of their own (`pull_stacked`).  A
-process loads this module only where it runs one of these.
+the flat (q, j) -> w view (`Cells`).  Beside them is the step on windows
+of two, whose keys keep no value (`pull_window_of_two`); longer windows
+all run `positive_dp`'s one writer.  A process loads this module only
+where it reads cells or steps windows of two.
 """
 
 from __future__ import annotations

@@ -18,15 +18,16 @@ over every child rank i.  `step_append_aggregated` pulls each child from
 its one parent key: all children of a key in one gap weigh the same, and
 along a column over the oldest retained value, which the children drop
 next, their line is fixed and the bounds on i either stay or move with
-that value.  So each gap adds a whole slab of columns into the children's
-difference grids with a few slices, whose prefix sums are the next
-table's totals; where a factor changes as i passes the dropped value, the
-parent's cells summed by dropped value are added the same way.  The cells
-stay in the blocks that wrote them until the tests or a rare step read
-them, and keys of other shapes than windows of three or four have their
-steps there too (`positive_cells`).  Which factor applies where is worked
-out once per run, in a plan that each table hands on to its child.  The
-two steps must agree exactly on every input.
+that value.  The keys that differ only in their second oldest value, the
+child's oldest, write consecutive child lines, so each gap adds a whole
+plane of columns into the children's difference grids with a few slices,
+whose prefix sums are the next table's totals; where a factor changes as
+i passes the dropped value, the parent's cells summed by dropped value
+are added the same way.  The cells stay in the blocks that wrote them
+until the tests or a rare step read them (`positive_cells`, which also
+steps windows of two, whose keys keep no value).  Which factor applies
+where is worked out once per run, in a plan that each table hands on to
+its child.  The two steps must agree exactly on every input.
 
 The steps are generic over the weight ring: integers, or `WeightPoly` for
 the tests and the reference runs.  One `PatternAssignment` supplies every
@@ -63,14 +64,14 @@ State = tuple[tuple[int, ...], tuple[int, ...]]
 
 # Most tracked variables packed into one integer.  A layout for exponents up
 # to E spans (E+1)^v digits, while the polynomial has at most C(E+v, v)
-# terms, about v! times fewer.  Measured packed against sparse (Python
-# 3.11.7, 2 CPUs, shared host): up to three variables packing is 15-23x
-# faster in-process ("123" to n=30, "123;321" to n=16: 5 vs 93 ms,
-# "1234;4321;1324" to n=12).  At four it wins or loses by at most 2x, for
-# more memory, in whole processes ("1234;4321;1324;2143" to n=12: 0.25 vs
-# 0.52 s, 41 vs 24 MB; "123;321;132;213" to n=14: 1.8-1.9 vs 1.5-2.4 s over
-# three pairs, 43 vs 39 MB).  At five it is 9x slower (five length-3
-# patterns to n=12: 6.4 vs 0.70 s, 109 vs 23 MB).
+# terms, about v! times fewer.  Measured sparse against packed in process
+# (Python 3.11.7, 2 CPUs, shared host, two runs each): up to three variables
+# packing is 14-20x faster ("123" to n=30 and "123;321" to n=16: 64-80 vs
+# 4 ms; "1234;4321;1324" to n=12: 185-198 vs 11-13 ms).  At four it ties
+# or wins, for more memory ("123;321;132;213" to n=14: 1.28-1.36 vs
+# 1.37-1.40 s, 34 vs 58 MB; "1234;4321;1324;2143" to n=12: 0.41-0.42 vs
+# 0.16 s, 20 vs 32 MB).  At five it is 7-12x slower ("123;321;132;213;231"
+# to n=12: 0.46-0.78 vs 5.6 s, 22 vs 148 MB).
 PACKED_VARIABLES_MAX = 3
 
 
@@ -324,9 +325,10 @@ def _transposed(grid: list, width: int) -> list:
 
 def _stacked(grids: list, width: int) -> list:
     """Grids end to end, `width` zeros between each two (one as it is)."""
+    if len(grids) == 1:
+        return grids[0]
     gap = [0] * width
-    return grids[0] if len(grids) == 1 else \
-        list(chain(grids[0], *chain.from_iterable((gap, grid) for grid in grids[1:])))
+    return list(chain(grids[0], *chain.from_iterable((gap, grid) for grid in grids[1:])))
 
 
 def _line_sums(grid: list, width: int) -> list:
@@ -338,6 +340,12 @@ def _cut(line: list, parts: int) -> list:
     """A list cut into `parts` lists of equal length (itself for one)."""
     size = len(line) // parts
     return [line] if parts == 1 else [line[at:at + size] for at in range(0, len(line), size)]
+
+
+def _planes(rows: list, parts: int, wide: int) -> tuple:
+    """Rows of `wide` entries end to end, cut into `parts` planes: per
+    plane its rows, and per plane the rows' sums."""
+    return _cut(rows, parts), _cut(_line_sums(rows, wide), parts)
 
 
 def step_append_aggregated(table: StateTable, assignment) -> StateTable:
@@ -373,7 +381,8 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
 
         return pull_window_of_two(table, plan)
     width, wide, orders = n + 2, n + 3, all_patterns(k - 2)
-    # a grid's lines run over the newest value, or it is the one line
+    # a grid's lines run over the newest value, or it is the one line; a
+    # slab missing from a stack holds zeros
     lines, zero = width if k > 3 else 1, [0] * width * width
     zeros = [zero] * (k - 1)
     slabs: list[dict] = [{} for _ in orders]
@@ -403,9 +412,8 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
                 if not terms and not change:
                     continue
                 if id(terms) not in made:
-                    values = _transposed(_combined(terms, stack), lines)
-                    made[id(terms)] = _cut(values, len(fixed)), \
-                        _cut(_line_sums(values, wide), len(fixed))
+                    made[id(terms)] = _planes(
+                        _transposed(_combined(terms, stack), lines), len(fixed), wide)
                 weights = ends = made[id(terms)]
                 split, source = repeat(None), None
                 if change:
@@ -413,15 +421,14 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
                     # their total more, and each adds its part as i passes
                     # it: change times the cells by dropped value, at y+1
                     times = mul if isinstance(change, int) else _times
-                    values = list(map(add, chain.from_iterable(weights[0]), map(
-                        times, _transposed(stack[p], lines), repeat(change))))
-                    ends = _cut(values, len(fixed)), _cut(_line_sums(values, wide), len(fixed))
+                    ends = _planes(list(map(add, chain.from_iterable(weights[0]), map(
+                        times, _transposed(stack[p], lines), repeat(change)))), len(fixed), wide)
                     source = table._cells_of(p, oi)
                     by_dropped = source.by_dropped()
-                    split = [by_dropped.get((*rest[:ib], v, *rest[ib:]) if k > 4 else (), zero)
-                             for v in range(b0, b1)]
+                    dropped = [by_dropped.get((*rest[:ib], v, *rest[ib:]) if k > 4 else (), zero)
+                               for v in range(b0, b1)]
                     split = _cut(list(map(times, _transposed(_stacked(
-                        split, lines) if k > 3 else _line_sums(split[0], width), lines),
+                        dropped, lines) if k > 3 else _line_sums(dropped[0], width), lines),
                         repeat(change))), len(fixed))
                 # the rows land on the child lines of their s[b], shifted
                 base = (b0 + sum(shifts[jb:jb + 1])) * wide

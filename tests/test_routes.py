@@ -56,6 +56,18 @@ def test_count_loads_no_reference_side_and_no_other_command(argv, ring):
 
 
 @pytest.mark.parametrize("argv", [
+    ["count", "--avoid", "1324;2143", "--n", "25"],
+    ["count", "--track", "123;321", "--n", "16"],
+])
+def test_positive_routes_on_windows_of_three_and_four_load_no_cell_views(argv):
+    # their step writes grids only: the cell views, which the tests and the
+    # tracer read, and the step on windows of two stay unloaded
+    loaded = _cwilf_modules_after(argv)
+    assert "cwilf.positive_dp" in loaded
+    assert "cwilf.positive_cells" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
     ["growth", "123", "--n", "12"],
     ["hitparade", "3", "--n", "10"],
 ])

@@ -52,11 +52,12 @@ def _cases():
         tracked = {"avoided": 0, "packed": rng.randint(1, 3), "sparse": 4}[mode]
         steps = rng.randint(3, 5)
         yield k, mode, tracked, steps, random.Random(rng.random())
-    # the narrowest and the widest keys; the reference steps k = 6 slowly
+    # the narrowest and the widest keys; the reference steps k = 6 slowly;
+    # sparse polynomials and their factors through stacked slabs (k = 5)
     for k, mode, steps in [(2, "avoided", 4), (2, "avoided", 5), (2, "packed", 4),
                            (2, "packed", 5), (6, "avoided", 2), (6, "avoided", 3),
-                           (6, "packed", 2)]:
-        tracked = rng.randint(1, 2) if mode == "packed" else 0
+                           (6, "packed", 2), (5, "sparse", 2), (5, "sparse", 3)]:
+        tracked = rng.randint(1, 2) if mode == "packed" else 4 if mode == "sparse" else 0
         yield k, mode, tracked, steps, random.Random(rng.random())
 
 
@@ -95,7 +96,7 @@ def test_groups_whose_totals_cancel_still_pass_their_cells():
     # next step splits a gap at each of them
     rng = random.Random(5)
     checked = 0
-    for p in [(1, 2), (1, 3, 2), (2, 1, 4, 3)]:
+    for p in [(1, 2), (1, 3, 2), (2, 1, 4, 3), (1, 3, 5, 4, 2), (2, 4, 6, 1, 5, 3)]:
         k, a = len(p), PatternAssignment.avoiding([p])
         for _ in range(60):
             n = rng.randint(k, 8)
