@@ -55,7 +55,7 @@ import math
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from itertools import accumulate, chain, repeat
-from operator import add, lshift, mul, sub
+from operator import add, lshift, mul, neg, sub
 
 from .patterns import all_patterns, reduction
 from .weightring import PatternAssignment, WeightPoly, as_weight_poly, packing_layout, unpack
@@ -438,11 +438,17 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
                         continue
                     key = tuple(map(add, held, lifts))
                     diff = (child.get(key) or child.setdefault(key, _new_slab(wide, k)))[d2]
-                    span = slice(base, base + len(part))
-                    for bound, op, whole, whole_sums in ((lo_at, add, part, total),
-                                                         (end_at, sub, end, end_total)):
+                    # a child class has one parent row, so the plane is its
+                    # grid's one writer: a bound at s[a]+1 and the split set
+                    # the span outright
+                    span = part if lo_at == _MOVING else map(neg, end) if end_at == _MOVING \
+                        else None
+                    if change:
+                        span = moved if span is None else map(add, span, moved)
+                    if span is not None:
+                        diff[base:base + len(part)] = span
+                    for bound, op, whole_sums in ((lo_at, add, total), (end_at, sub, end_total)):
                         if bound == _MOVING:
-                            diff[span] = map(op, diff[span], whole)
                             continue
                         # 1 or n+2, s[b] or a value fixed for the plane, plus one
                         first = base + ((width if op is sub else 1) if bound is None else
@@ -450,8 +456,6 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
                         step = wide + (bound == jb)
                         at = slice(first, first + len(whole_sums) * step, step)
                         diff[at] = map(op, diff[at], whole_sums)
-                    if change:
-                        diff[span] = map(add, diff[span], moved)
                 found = blocks.setdefault((d2, o2), [])
                 for others, grids in by_b.values():
                     found.append((o, others, grids, row, p, source))
