@@ -381,10 +381,8 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
 
         return pull_window_of_two(table, plan)
     width, wide, orders = n + 2, n + 3, all_patterns(k - 2)
-    # a grid's lines run over the newest value, or it is the one line; a
-    # slab missing from a stack holds zeros
+    # a grid's lines run over the newest value, or it is the one line
     lines, zero = width if k > 3 else 1, [0] * width * width
-    zeros = [zero] * (k - 1)
     slabs: list[dict] = [{} for _ in orders]
     blocks: dict[tuple[int, int], list] = {}
     for oi, rows in enumerate(plan[1]):
@@ -399,11 +397,12 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
         for others, grids in table.slabs[oi].items():
             stacks[others[:ib] + others[ib + 1:]][others[ib] if k > 4 else 0] = others, grids
         for rest, by_b in stacks.items():
-            # s[b] runs over b0..b1-1: per drop index, the stack's grids,
-            # whose lines transposed lead each row of a plane with a 0
+            # s[b] runs over b0..b1-1: per drop index, the stack's grids (of
+            # zeros where no slab is), whose lines transposed lead each row
+            # of a plane with a 0
             b0, b1 = min(by_b), max(by_b) + 1
             stack = by_b[b0][1] if b1 - b0 == 1 else [_stacked(grids, lines) for grids in zip(
-                *(by_b[v][1] if v in by_b else zeros for v in range(b0, b1)))]
+                *(by_b[v][1] if v in by_b else [zero] * (k - 1) for v in range(b0, b1)))]
             # per plane, the values kept but s[a] and s[b]
             fixed = [(*rest[:into], v, *rest[into:]) for v in range(width)] if k > 4 else [()]
             made: dict[int, tuple] = {}
