@@ -4,8 +4,10 @@ Two complementary polynomial-time engines, cross-validated against brute
 force: an incremental append evolution over suffix states (`positive_dp`)
 and a cluster-based inclusion-exclusion (`cluster_dp`), both over exact
 arbitrary-precision arithmetic (`weightring`).  Both build on the pattern
-primitives (`patterns`); the series router is `analysis`, the command line
-`cli`, with every command but `count` in `survey`.  The brute-force oracles
+primitives (`patterns`), and the positive engine and the oracles weigh
+windows with one factor table (`factors`).  The series router is
+`analysis`, the command line `cli`, with every command but `count` in
+`survey`.  The brute-force oracles
 live apart, in `permcore`; the naive forms of the engines, which only the
 tests run, live with the tests.
 
@@ -42,7 +44,7 @@ _HOME = {
     "cross_check": "survey",
     "growth_estimate": "survey",
     "hit_parade": "survey",
-    "PatternAssignment": "weightring",
+    "PatternAssignment": "factors",
     "WeightPoly": "weightring",
 }
 

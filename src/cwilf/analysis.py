@@ -11,11 +11,12 @@ tracked route loads anyway, so the cluster engine's avoidance route never
 compiles them.  The engines are exact, and so is everything here.
 
 Each route imports the engine it runs where it runs it, so a process that
-counts with one engine never loads the other.  The weight ring
-(`weightring`) comes with the positive engine, whose factor table
-(`PatternAssignment`) lives there, and with the routes that build
-polynomials (tracking, brute force); the cluster engine's avoidance route
-never loads it.  Only brute force loads the oracles (`permcore`).
+counts with one engine never loads the other.  Both engines count
+avoidance on plain integers and return int terms, so neither avoidance
+route loads the weight ring (`weightring`): only the routes that build
+polynomials (tracking, brute force) do.  The positive engine and brute
+force read their factor table (`PatternAssignment`) from `factors`.  Only
+brute force loads the oracles (`permcore`).
 
 Cross-checks, growth estimates and the hit parade live with the commands
 that use them (`survey`).
@@ -123,7 +124,7 @@ def _series(avoid: Sequence[Sequence[int]], track: Sequence[Sequence[int]], N: i
 
         _refuse_above_cap(N, cap)
         if len({len(p) for p in patterns}) == 1:
-            from .weightring import PatternAssignment
+            from .factors import PatternAssignment
 
             assignment = PatternAssignment(len(patterns[0]), zero=avoid, tracked=track)
             terms = [permcore.brute_weight_enum(n, assignment.k, assignment, cap=cap)

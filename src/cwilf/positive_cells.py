@@ -24,14 +24,16 @@ from .patterns import all_patterns
 from .positive_dp import _MOVING, _combined, _suffix, _times
 
 
-def columns(n: int, o: tuple, others: tuple, grids: list, row: tuple, p: int, source):
+def columns(n: int, o: tuple, others: tuple, grids: list, row: tuple, p: int, source,
+            _combined_stack):
     """The columns of the child cells one slab of a size-n parent wrote in
     gap p, a block: per value of the newest field whose column over the
     oldest holds a nonzero total or, in a split row, cells, the child line
     `rest` with the new value i to insert at field t, x0, lo, ls, end, es,
     the column's weights and, in a split row, per entry its weights over i
     (`pieces`).  Entry r is the cell of drop value x0+r on the keys with
-    lo + r*ls <= i < end + r*es."""
+    lo + r*ls <= i < end + r*es.  The block's combined stack, which only
+    `positive_dp._Class.by_dropped` reads, is not needed here."""
     _d2, _o2, terms, change, shifts, lo_at, end_at = row
     width, a, c = n + 2, o[0] - 1, o[-1] - 1
     t, u = p - (a < p), int(a >= p)

@@ -30,10 +30,13 @@ where is worked out once per run, in a plan that each table hands on to
 its child.  The two steps must agree exactly on every input.
 
 The steps are generic over the weight ring: integers, or `WeightPoly` for
-the tests and the reference runs.  One `PatternAssignment` supplies every
-factor.  `enumerate_series` runs tracked queries on plain integers, on the
-assignment rebuilt with packed variables (`PackedAssignment`), and
-`StateTable.total` decodes each term.  Every cell weight is a polynomial
+the tests and the reference runs.  One `PatternAssignment` (`factors`)
+supplies every factor.  An avoidance query is counted on plain integers
+and its terms are ints, so its route never loads the weight ring
+(`weightring`); only the tracked paths import it, where they run.
+`enumerate_series` runs tracked queries on plain integers too, on the
+assignment rebuilt with packed variables (`weightring.PackedAssignment`),
+and `StateTable.total` decodes each term.  Every cell weight is a polynomial
 with nonnegative coefficients of at most n! (it counts permutations by
 occurrences), and a tracked pattern of length m occurs at most n-m+1
 times, so B = bitlen(N!)+1 bits per coefficient and stride D = N-m+2
@@ -57,8 +60,8 @@ from collections.abc import Mapping, Sequence
 from itertools import accumulate, chain, repeat
 from operator import add, lshift, mul, neg, sub
 
+from .factors import PatternAssignment
 from .patterns import all_patterns, reduction
-from .weightring import PatternAssignment, WeightPoly, as_weight_poly, packing_layout, unpack
 
 State = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -66,12 +69,12 @@ State = tuple[tuple[int, ...], tuple[int, ...]]
 # to E spans (E+1)^v digits, while the polynomial has at most C(E+v, v)
 # terms, about v! times fewer.  Measured sparse against packed in process
 # (Python 3.11.7, 2 CPUs, shared host, two runs each): up to three variables
-# packing is 14-20x faster ("123" to n=30 and "123;321" to n=16: 64-80 vs
-# 4 ms; "1234;4321;1324" to n=12: 185-198 vs 11-13 ms).  At four it ties
-# or wins, for more memory ("123;321;132;213" to n=14: 1.28-1.36 vs
-# 1.37-1.40 s, 34 vs 58 MB; "1234;4321;1324;2143" to n=12: 0.41-0.42 vs
-# 0.16 s, 20 vs 32 MB).  At five it is 7-12x slower ("123;321;132;213;231"
-# to n=12: 0.46-0.78 vs 5.6 s, 22 vs 148 MB).
+# packing is 2-4x faster ("123;321" to n=16: 25-27 vs 11-14 ms;
+# "1234;4321;1324" to n=12: 61-66 vs 14-15 ms).  At four it loses or ties,
+# for more memory ("123;321;132;213" to n=14: 0.77-1.36 vs 1.55-1.78 s, 36
+# vs 59 MB; "1234;4321;1324;2143" to n=12: 0.19-0.27 vs 0.18-0.19 s, 23 vs
+# 36 MB).  At five it is 12-28x slower ("123;321;132;213;231" to n=12:
+# 0.27-0.49 vs 6.1-7.5 s, 22-23 vs 152 MB).
 PACKED_VARIABLES_MAX = 3
 
 
@@ -95,9 +98,11 @@ class StateTable:
 
     The cells are kept as the constructor gave them (`given`, (s, x, w) per
     cell) or as the blocks of the step that wrote them, one per slab and
-    gap (`blocks`), per class (d, oi).  `_cells_of` and the flat (q, j) ->
-    w view `cells` read them (`positive_cells`); the view's length, the
-    live count, is counted off the blocks without building a cell.
+    gap (`blocks`), per class (d, oi); a block also keeps its parent
+    stack's grids as the step combined them by the row's factors.
+    `_cells_of` and the flat (q, j) -> w view `cells` read them
+    (`positive_cells`); the view's length, the live count, is counted off
+    the blocks without building a cell.
     """
 
     def __init__(self, n: int, k: int, cells):
@@ -159,14 +164,19 @@ class StateTable:
                         total = total + (t if f == 1 else f * t)
         return total
 
-    def total(self, assignment) -> WeightPoly:
-        """`weight_sum` as a polynomial (`_decoded`)."""
+    def total(self, assignment):
+        """`weight_sum` as a term of the series (`_decoded`)."""
         return _decoded(self.weight_sum(assignment), assignment, self.n)
 
 
-def _decoded(value, assignment, n: int) -> WeightPoly:
-    """A size-n weight sum as a polynomial, unpacked if the assignment is
-    packed: with nothing forbidden its coefficients must sum to n!."""
+def _decoded(value, assignment, n: int):
+    """A size-n weight sum as a term: the int itself when nothing is
+    tracked, else a polynomial, unpacked if the assignment is packed (with
+    nothing forbidden its coefficients must sum to n!)."""
+    if not assignment.nvars:
+        return value
+    from .weightring import as_weight_poly, unpack
+
     if assignment.layout is None:
         return as_weight_poly(value, assignment.nvars)
     return unpack(value, assignment.layout, None if assignment.zero else math.factorial(n))
@@ -189,19 +199,20 @@ class _Class:
 
         A block of an unsplit row with at most two values kept, whose
         bounds on i do not depend on the parent's newest value, writes its
-        part whole, summed over that value, and so do cells given.  Other
-        classes are read off their cells (`positive_cells.by_dropped`)."""
+        part whole, summed over that value, from the grids the step
+        combined for it (its stack is its one slab), and so do cells
+        given.  Other classes are read off their cells
+        (`positive_cells.by_dropped`)."""
         if self._by_dropped is None:
             width = self.n + 2
             diff = [0] * width * width
             whole = self.found is None and len(self.o) < 3
-            for o, _others, grids, row, p, _source in self.blocks if whole else ():
-                _d2, _o2, terms, change, _shifts, lo_at, end_at = row
+            for o, _others, _grids, row, p, _source, weights in self.blocks if whole else ():
+                _d2, _o2, _terms, change, _shifts, lo_at, end_at = row
                 if change or {lo_at, end_at} - {None, _MOVING}:
                     whole = False
                     break
                 # per oldest value, the sum over the newest
-                weights = _combined(terms, grids)
                 rows = weights if len(o) == 1 else _line_sums(weights, width - 1)
                 for bound, op in ((lo_at, add), (end_at, sub)):
                     step = width + (bound == _MOVING)
@@ -411,9 +422,11 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
                 if not terms and not change:
                     continue
                 if id(terms) not in made:
-                    made[id(terms)] = _planes(
-                        _transposed(_combined(terms, stack), lines), len(fixed), wide)
-                weights = ends = made[id(terms)]
+                    combined = _combined(terms, stack)
+                    made[id(terms)] = combined, _planes(
+                        _transposed(combined, lines), len(fixed), wide)
+                combined, weights = made[id(terms)]
+                ends = weights
                 split, source = repeat(None), None
                 if change:
                     # past all its dropped values a key weighs change times
@@ -457,27 +470,25 @@ def step_append_aggregated(table: StateTable, assignment) -> StateTable:
                         diff[at] = map(op, diff[at], whole_sums)
                 found = blocks.setdefault((d2, o2), [])
                 for others, grids in by_b.values():
-                    found.append((o, others, grids, row, p, source))
+                    found.append((o, others, grids, row, p, source, combined))
     return StateTable.__new__(StateTable)._build(n + 1, k, slabs, blocks, {}, plan)
 
 
-def PackedAssignment(assignment: PatternAssignment, N: int) -> PatternAssignment:
-    """The assignment on integers: its variables packed for sizes up to N."""
-    return PatternAssignment(assignment.k, assignment.zero, assignment.tracked, packing_layout(
-        assignment.nvars, math.factorial(N), max(N - min(map(len, assignment.tracked)) + 1, 0)))
-
-
-def enumerate_series(k: int, assignment: PatternAssignment, N: int) -> list[WeightPoly]:
-    """Weighted counts of S_0..S_N, one window factor per length-k window.
+def enumerate_series(k: int, assignment: PatternAssignment, N: int) -> list:
+    """Weighted counts of S_0..S_N, one window factor per length-k window:
+    ints when nothing is tracked, `WeightPoly` terms otherwise.
 
     Below size k-1 each term sums its permutations' weights (n! when every
     pattern has length k).  From size k-1 on, the table evolves one append
     at a time and each term is the sum of the live cells.  Up to
-    `PACKED_VARIABLES_MAX` tracked variables run packed (`PackedAssignment`).
+    `PACKED_VARIABLES_MAX` tracked variables run packed
+    (`weightring.PackedAssignment`).
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if 0 < assignment.nvars <= PACKED_VARIABLES_MAX:
+        from .weightring import PackedAssignment
+
         assignment = PackedAssignment(assignment, N)
     out = [_decoded(sum(map(assignment.weight, all_patterns(n))), assignment, n)
            for n in range(min(N, k - 2) + 1)]
@@ -499,7 +510,7 @@ def build_assignment(avoid: Sequence = (), track: Sequence = ()) -> PatternAssig
 
 
 def enumerate_for_patterns(avoid: Sequence = (), track: Sequence = (),
-                           N: int = 0) -> list[WeightPoly]:
+                           N: int = 0) -> list:
     """Series for an arbitrary pattern family, avoided and tracked mixed
     (`build_assignment`, `enumerate_series`)."""
     assignment = build_assignment(avoid, track)

@@ -111,7 +111,7 @@ def cross_check(patterns: Sequence[Sequence[int]], n_max: int,
         columns = {e: _series(avoid, track, n_max, e, cap).terms for e in engines}
     else:
         from . import permcore, positive_dp
-        from .weightring import PatternAssignment
+        from .factors import PatternAssignment
 
         _refuse_above_cap(n_max, cap)
         assignment = PatternAssignment.all_one(2)

@@ -18,10 +18,11 @@ the type at the edges (decoded results, display, the brute-force oracles),
 and the one the positive engine computes with past three tracked
 variables, where the dense layout would outgrow the sparse polynomials.
 
-A :class:`PatternAssignment` is the one factor table of a pattern family,
-for every engine and oracle that weighs windows: its patterns are forbidden
-or tracked, may be shorter than the window, and give `WeightPoly` factors,
-or packed ones when it is built with a layout.
+The ring's own results (sums, products, decoded digits) are built by
+`WeightPoly._made`, which trusts their exponent tuples; the public
+constructors check every term they are given.  `PackedAssignment` rebuilds
+a factor table (`factors.PatternAssignment`) on packed variables for the
+engines.
 
 The runtime checks of tracked series live here too, as every route that
 tracks a pattern loads this module and no avoidance route does:
@@ -36,10 +37,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
-from .patterns import InconsistentResult, all_patterns, format_pattern, is_permutation, reduction
+from .factors import PatternAssignment
+from .patterns import InconsistentResult, format_pattern, reduction
 
 
 class WeightPoly:
@@ -66,6 +68,16 @@ class WeightPoly:
                 clean[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _made(cls, nvars: int, terms: dict) -> "WeightPoly":
+        """A polynomial of terms the ring made itself, taken as they are:
+        `nvars` nonnegative exponents per tuple and no zero coefficient,
+        which `__init__` would check again for each term."""
+        poly = object.__new__(cls)
+        _set_nvars(poly, nvars)
+        _set_terms(poly, terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightPoly is immutable")
@@ -150,12 +162,12 @@ class WeightPoly:
                 terms[exps] = new
             else:
                 terms.pop(exps, None)
-        return WeightPoly(self.nvars, terms)
+        return WeightPoly._made(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeightPoly(self.nvars, {e: -c for e, c in self._terms.items()})
+        return WeightPoly._made(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int) and not other:
@@ -172,7 +184,7 @@ class WeightPoly:
         if isinstance(other, int):
             if other == 0:
                 return WeightPoly.zero(self.nvars)
-            return WeightPoly(self.nvars, {e: c * other for e, c in self._terms.items()})
+            return WeightPoly._made(self.nvars, {e: c * other for e, c in self._terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -185,7 +197,7 @@ class WeightPoly:
                     terms[exps] = new
                 else:
                     del terms[exps]
-        return WeightPoly(self.nvars, terms)
+        return WeightPoly._made(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -255,6 +267,10 @@ class WeightPoly:
         return f"WeightPoly({self.nvars}, {self.canonical_text()!r})"
 
 
+# the slots' own setters, past the class's refusing `__setattr__`
+_set_nvars, _set_terms = WeightPoly.nvars.__set__, WeightPoly._terms.__set__
+
+
 def as_weight_poly(value, nvars: int) -> WeightPoly:
     """Wrap a plain integer as a constant polynomial; pass polynomials through."""
     if isinstance(value, WeightPoly):
@@ -303,7 +319,7 @@ def unpack(value: int, layout: Packing, mass: int | None = None) -> WeightPoly:
         raise PackingOverflow(
             f"packed coefficients sum to {sum(terms.values())}, expected {mass}: "
             f"{layout.bits} bits per coefficient overflowed")
-    return WeightPoly(layout.nvars, terms)
+    return WeightPoly._made(layout.nvars, terms)
 
 
 def _digits(value: int, layout: Packing) -> dict[tuple, int]:
@@ -327,94 +343,10 @@ def _digits(value: int, layout: Packing) -> dict[tuple, int]:
     return terms
 
 
-class PatternAssignment:
-    """The window factors of a pattern family, for windows of length k.
-
-    Each pattern is forbidden (`zero`) or tracked by one variable (`tracked`,
-    indexed in the order listed): a `WeightPoly` variable or, given a
-    `layout`, its packed value.  Patterns may be shorter than k; the longest
-    must have length k.  One rule weighs a word (`weight`): each occurrence
-    of a tracked pattern multiplies in its variable, and one of a forbidden
-    pattern makes the weight 0.  It is tabulated once, at construction:
-    `factors[w]` per window w of length k, for the occurrences that start at
-    w's first entry, and `suffix_factors[q]` per suffix q of length k-1, for
-    every occurrence inside q.  A permutation of size n >= k-1 weighs its
-    windows' factors times the suffix factor of its last k-1 entries: an
-    occurrence starts where a window starts or lies inside that suffix, so
-    each one counts exactly once.
-    """
-
-    def __init__(self, k: int, zero: Iterable = (), tracked: Sequence = (),
-                 layout: Packing | None = None):
-        if k < 2:
-            raise ValueError("window length must be at least 2")
-        self.k = k
-        self.zero = frozenset(tuple(p) for p in zero)
-        self.tracked = tuple(tuple(p) for p in tracked)
-        patterns = [*self.zero, *self.tracked]
-        for p in patterns:
-            if not 2 <= len(p) <= k or not is_permutation(p):
-                raise ValueError(f"{p} is not a pattern of length 2 to {k}")
-        if patterns and max(map(len, patterns)) != k:
-            raise ValueError(f"the longest pattern must have length {k}")
-        if len(set(self.tracked)) != len(self.tracked):
-            raise ValueError("duplicate tracked pattern")
-        if self.zero & set(self.tracked):
-            raise ValueError("a pattern cannot be both forbidden and tracked")
-        self.nvars = len(self.tracked)
-        self.layout = layout
-        self._vars = {p: WeightPoly.variable(i, self.nvars) if layout is None
-                      else layout.variable(i) for i, p in enumerate(self.tracked)}
-        self.factors = {w: self._at_start(w) for w in all_patterns(k)}
-        self.suffix_factors = {q: self.weight(q) for q in all_patterns(k - 1)}
-
-    @classmethod
-    def all_one(cls, k: int) -> "PatternAssignment":
-        return cls(k)
-
-    @classmethod
-    def avoiding(cls, patterns: Iterable) -> "PatternAssignment":
-        patterns = [tuple(p) for p in patterns]
-        if not patterns:
-            raise ValueError("avoiding() needs at least one pattern")
-        return cls(max(map(len, patterns)), zero=patterns)
-
-    @classmethod
-    def tracking(cls, patterns: Sequence, zero: Iterable = ()) -> "PatternAssignment":
-        patterns = [tuple(p) for p in patterns]
-        zero = [tuple(p) for p in zero]
-        if not patterns:
-            raise ValueError("tracking() needs at least one pattern")
-        return cls(max(map(len, patterns + zero)), zero=zero, tracked=patterns)
-
-    def _at_start(self, word: tuple):
-        """The factor of the occurrences that start at a word's first entry."""
-        for p in self.zero:
-            if reduction(word[:len(p)]) == p:
-                return 0
-        f = 1
-        for p, var in self._vars.items():
-            if reduction(word[:len(p)]) == p:
-                f = f * var
-        return f
-
-    def weight(self, word: tuple):
-        """The product of the factors of every occurrence in a word."""
-        w = 1
-        for start in range(len(word)):
-            f = self._at_start(word[start:])
-            if not f:
-                return 0
-            w = w * f
-        return w
-
-    def factor(self, pattern: tuple):
-        """The weight factor gained when a window forms this pattern."""
-        return self.factors[pattern]
-
-    def suffix_factor(self, suffix: tuple):
-        """The weight factor of the occurrences inside a retained suffix."""
-        return self.suffix_factors[suffix]
+def PackedAssignment(assignment: PatternAssignment, N: int) -> PatternAssignment:
+    """The assignment on integers: its variables packed for sizes up to N."""
+    return PatternAssignment(assignment.k, assignment.zero, assignment.tracked, packing_layout(
+        assignment.nvars, math.factorial(N), max(N - min(map(len, assignment.tracked)) + 1, 0)))
 
 
 # -- moment checks ----------------------------------------------------------------

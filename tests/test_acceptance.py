@@ -58,7 +58,7 @@ def _triangle(patterns, n_max):
             oracle_int = brute_weight_enum(n, k, avoided).constant_value()
             assert pos_tracked[n] == oracle_poly, (p, n)
             assert clu_tracked[n] == oracle_poly, (p, n)
-            assert pos_avoided[n].constant_value() == oracle_int, (p, n)
+            assert pos_avoided[n] == oracle_int, (p, n)
             assert oracle_poly.evaluate([0]) == oracle_int, (p, n)
         clu_series = cluster_polys(p, min(n_max, 9))
         for n in range(len(clu_series)):
@@ -145,10 +145,9 @@ def test_c7_symmetry_invariance_to_30():
                 for q in symmetry_class(p):
                     series = enumerate_series(
                         k, PatternAssignment.avoiding([q]), 30)
-                    values = [w.constant_value() for w in series]
                     if reference is None:
-                        reference = values
-                    assert values == reference, (p, q)
+                        reference = series
+                    assert series == reference, (p, q)
 
 
 def test_c8_property_suites():
@@ -173,7 +172,7 @@ def test_c8_property_suites():
         # mass conservation at every computed size
         for k in (2, 3, 4):
             series = enumerate_series(k, PatternAssignment.all_one(k), 15)
-            assert [w.constant_value() for w in series] == factorials(15)
+            assert series == factorials(15)
         # atom-count degree bounds on every computed cluster enumerator
         for p in [(1, 2, 3), (1, 3, 2), (1, 3, 2, 4), (2, 1, 4, 3)]:
             k = len(p)

@@ -182,7 +182,6 @@ def test_undersized_packing_exits_4(monkeypatch, engine):
         return Packing(nvars, coeff_bound.bit_length() // 2, degree_bound + 1)
 
     monkeypatch.setattr(weightring, "packing_layout", undersized)
-    monkeypatch.setattr(positive_dp, "packing_layout", undersized)
     code, out, err = run_cli(["count", "--track", "123", "--n", "12",
                               "--engine", engine])
     assert code == cli.EXIT_INCONSISTENT
@@ -297,7 +296,7 @@ def test_short_packing_stride_exits_4(monkeypatch):
     def short_stride(nvars, coeff_bound, degree_bound):
         return Packing(nvars, coeff_bound.bit_length() + 1, degree_bound)
 
-    monkeypatch.setattr(positive_dp, "packing_layout", short_stride)
+    monkeypatch.setattr(weightring, "packing_layout", short_stride)
     code, out, err = run_cli(["count", "--track", "123;321;132", "--n", "12"])
     assert code == cli.EXIT_INCONSISTENT
     assert out == ""

@@ -1,8 +1,10 @@
 """Which modules each command loads, and where each name lives.
 
 A `count` process compiles only the parser, the router, the pattern
-primitives and its engine: the brute-force oracles (`permcore`) and the
-other commands (`survey`) stay unloaded.  Each name is defined in one
+primitives and its engine, with the factor table (`factors`) on the
+positive engine: the brute-force oracles (`permcore`) and the other
+commands (`survey`) stay unloaded, and so does the weight ring
+(`weightring`) wherever nothing is tracked.  Each name is defined in one
 module and read from there: no module but the package forwards names
 (PEP 562), and no module imports a sibling's name only to hand it on.
 Where a module does read a sibling's name, it holds the home's object, not
@@ -42,9 +44,10 @@ def _cwilf_modules_after(argv):
 
 COUNT_ROUTES = [
     (["count", "--avoid", "132", "--n", "20"], False),
-    (["count", "--avoid", "1324;2143", "--n", "8"], True),
+    (["count", "--avoid", "1324;2143", "--n", "8"], False),
     (["count", "--track", "2413", "--n", "10"], True),
     (["count", "--track", "123;321", "--n", "8"], True),
+    (["count", "--avoid", "123;1432", "--n", "8"], False),
 ]
 
 
@@ -53,6 +56,19 @@ def test_count_loads_no_reference_side_and_no_other_command(argv, ring):
     loaded = _cwilf_modules_after(argv)
     assert not loaded & {"cwilf.permcore", "cwilf.survey"}
     assert ("cwilf.weightring" in loaded) == ring
+
+
+@pytest.mark.parametrize("avoid", [
+    [(1, 3, 2, 4), (2, 1, 4, 3)],
+    [(1, 2, 3), (1, 4, 3, 2)],
+])
+def test_positive_avoidance_terms_are_ints(avoid):
+    # counted on plain integers, the terms are never wrapped as constant
+    # polynomials, so the avoidance route needs no weight ring
+    from cwilf import positive_dp
+
+    terms = positive_dp.enumerate_for_patterns(avoid=avoid, N=9)
+    assert {type(w) for w in terms} == {int}
 
 
 @pytest.mark.parametrize("argv", [
@@ -179,6 +195,7 @@ def test_each_input_rule_has_one_home():
 SHARED = [
     *(("permcore", name, "patterns") for name in ("all_patterns", "occurrences", "reduction")),
     ("weightring", "InconsistentResult", "patterns"),
+    ("weightring", "PatternAssignment", "factors"),
 ]
 
 

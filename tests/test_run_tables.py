@@ -15,7 +15,6 @@ import pytest
 
 from cwilf.patterns import all_patterns
 from cwilf.positive_dp import (
-    PackedAssignment,
     StateTable,
     _pull_plan,
     build_assignment,
@@ -23,7 +22,7 @@ from cwilf.positive_dp import (
     init_table,
     step_append_aggregated,
 )
-from cwilf.weightring import PatternAssignment, WeightPoly
+from cwilf.weightring import PackedAssignment, PatternAssignment, WeightPoly
 from reference import step_append
 
 # first and last entries adjacent in value: the window factor moves as the
@@ -110,7 +109,11 @@ def test_groups_whose_totals_cancel_still_pass_their_cells():
             w = WeightPoly.const(rng.randint(1, 5), 1)
             table = StateTable(n, k, {(q, tuple(sorted(s + [x]))): w,
                                       (q, tuple(sorted(s + [y]))): -w})
-            assert step_append_aggregated(table, a).cells == step_append(table, a).cells
+            fast, slow = step_append_aggregated(table, a), step_append(table, a)
+            assert fast.cells == slow.cells
+            # the totals the step wrote, which the next step pulls from
+            assert fast.weight_sum(a) == slow.weight_sum(a)
+            assert step_append_aggregated(fast, a).cells == step_append(slow, a).cells
             checked += 1
     assert checked > 100
 
