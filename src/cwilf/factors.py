@@ -5,10 +5,9 @@ engine and oracle that weighs windows reads.  Its patterns are forbidden
 or tracked and may be shorter than the window.  An avoidance table holds
 the integers 0 and 1 only, so the positive engine's avoidance route runs
 on plain integers and never loads the weight ring (`weightring`).  A
-tracked table holds packed integers when it is built with a layout (the
-engines' case, `weightring.PackedAssignment`), and `WeightPoly` variables
-otherwise (the oracles', the tests' and the sparse positive route's);
-only that last case imports the ring.
+tracked table holds `WeightPoly` variables, or their packed values when it
+is built with a layout (`weightring.PackedAssignment`); only a tracked
+table without a layout imports the ring.
 """
 
 from __future__ import annotations
